@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare perfbench-check fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
 
 all: build vet test
 
@@ -43,6 +43,12 @@ BENCH_COMPARE_OUT ?= BENCH_scale.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -suite scale -compare -out $(BENCH_COMPARE_OUT) \
 		-maxregress 'p1023_parallel_intervals_per_sec=10,p1023_parallel_latency_p99_ms>150'
+
+# The benchmark (perfbench/) is a Go module of its own, so the root build
+# and test targets never compile it; this vets and tests it against the
+# current tree, so an API change cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over the wire codecs. Patterns are anchored: a bare
 # FuzzDecodeReport would match both FuzzDecodeReport and FuzzDecodeReportV2,

@@ -124,7 +124,8 @@ func main() {
 	}
 	feed(crashAfter, 16)
 	liveBefore, liveAfter := 0, 0
-	for _, d := range cluster.Stop() {
+	cluster.Close()
+	for _, d := range cluster.Detections() {
 		if !d.AtRoot {
 			continue
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"hierdet/internal/core"
+	"hierdet/internal/obsv"
 	"hierdet/internal/transport"
 	"hierdet/internal/transport/tcptransport"
 	"hierdet/internal/tree"
@@ -13,7 +15,7 @@ import (
 )
 
 // detLog aggregates streamed detections across the participants of a
-// distributed deployment (each cluster only returns its own from Stop).
+// distributed deployment (each cluster's Detections holds only its own).
 type detLog struct {
 	mu   sync.Mutex
 	dets []Detection
@@ -23,6 +25,27 @@ func (l *detLog) add(d Detection) {
 	l.mu.Lock()
 	l.dets = append(l.dets, d)
 	l.mu.Unlock()
+}
+
+// sink builds an Events sink that streams every SolutionFound into log and
+// every concluded reattachment's orphan into repaired; either may be nil.
+// The repaired send never blocks: the sink runs on a cluster worker, and a
+// false-suspicion storm can conclude more repairs than the channel buffers —
+// a blocked worker would then deadlock Close instead of letting the test's
+// repair-count checks report the storm.
+func sink(log *detLog, repaired chan<- int) func(obsv.Event) {
+	return func(e obsv.Event) {
+		switch {
+		case e.Kind == obsv.SolutionFound && log != nil:
+			log.add(Detection{Node: e.Node, AtRoot: e.AtRoot,
+				Det: core.Detection{Node: e.Node, Set: e.Set, Agg: e.Agg}})
+		case e.Kind == obsv.RepairConcluded && repaired != nil:
+			select {
+			case repaired <- e.Node:
+			default:
+			}
+		}
+	}
 }
 
 func (l *detLog) rootSpan(span int) int {
@@ -87,8 +110,8 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	refRepaired := make(chan int, 8)
 	ref := New(Config{
 		Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { refRepaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  sink(nil, refRepaired),
 	})
 	feedRange(ref, e, 0, phase1)
 	ref.Drain()
@@ -96,7 +119,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	waitCond(t, "reference parent to drop dead child", func() bool { return ref.Metrics()[0].ChildDrops == 1 })
 	ref.Drain()
 	feedRange(ref, e, phase1, phase1+phase2)
-	refDets := ref.Stop()
+	refDets := closeDets(ref)
 	refFull, refSurvivor := spanCount(refDets, 7), spanCount(refDets, 6)
 
 	// Distributed: one cluster per node, joined by the in-process Network.
@@ -113,8 +136,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 			StartupGrace: 5 * time.Millisecond,
 			Transport:    net.Endpoint(id),
 			LocalNodes:   []int{id},
-			OnDetect:     log.add,
-			OnRepair:     func(orphan, newParent int) { repaired <- orphan },
+			Events:       sink(&log, repaired),
 		})
 	}
 
@@ -133,7 +155,7 @@ func TestDistributedParityAndFailover(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		dets = append(dets, closeDets(clusters[id])...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != refFull || got != phase1 {
@@ -192,7 +214,7 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 		return New(Config{
 			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
 			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
-			OnDetect: log.add,
+			Events: sink(&log, nil),
 		})
 	}
 	root, leaf := mk(0, epRoot), mk(1, epLeaf)
@@ -220,7 +242,7 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 	waitCond(t, "remaining detections", func() bool { return log.rootSpan(2) == rounds })
 	time.Sleep(10 * time.Millisecond)
 
-	dets := append(root.Stop(), leaf.Stop()...)
+	dets := append(closeDets(root), closeDets(leaf)...)
 	soundRoots(t, dets)
 	if got := spanCount(dets, 2); got != rounds {
 		t.Errorf("root detections = %d, want %d (redelivery must not re-deliver)", got, rounds)
@@ -269,8 +291,7 @@ func TestDistributedOverTCP(t *testing.T) {
 			StartupGrace: 20 * time.Millisecond,
 			Transport:    trs[id],
 			LocalNodes:   []int{id},
-			OnDetect:     log.add,
-			OnRepair:     func(orphan, newParent int) { repaired <- orphan },
+			Events:       sink(&log, repaired),
 		})
 	}
 
@@ -289,7 +310,7 @@ func TestDistributedOverTCP(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		dets = append(dets, closeDets(clusters[id])...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != phase1 {
@@ -300,11 +321,11 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
-// TestDistributedBatchWindow: with report coalescing on, child→parent
-// traffic crosses the transport as KindReportBatch frames — and detection
-// output is unchanged. The tap on every endpoint proves batch frames
-// actually traveled (coalescing engaged, not just degenerated to singles).
-func TestDistributedBatchWindow(t *testing.T) {
+// TestDistributedAdaptiveFlush: with drain-end report coalescing on,
+// child→parent traffic crosses the transport as KindReportBatch frames — and
+// detection output is unchanged. The tap on every endpoint proves batch
+// frames actually traveled.
+func TestDistributedAdaptiveFlush(t *testing.T) {
 	const rounds = 10
 	build := func() *tree.Topology { return tree.Balanced(2, 2) }
 	e := workload.Generate(workload.Config{Topology: build(), Rounds: rounds, Seed: 17, PGlobal: 1})
@@ -326,12 +347,12 @@ func TestDistributedBatchWindow(t *testing.T) {
 		}
 		clusters[id] = New(Config{
 			Topology: build(), Seed: 13, Strict: true, KeepMembers: true,
-			HbEvery:      time.Millisecond,
-			StartupGrace: 5 * time.Millisecond,
-			BatchWindow:  500 * time.Microsecond,
-			Transport:    ep,
-			LocalNodes:   []int{id},
-			OnDetect:     log.add,
+			HbEvery:       time.Millisecond,
+			StartupGrace:  5 * time.Millisecond,
+			AdaptiveFlush: true,
+			Transport:     ep,
+			LocalNodes:    []int{id},
+			Events:        sink(&log, nil),
 		})
 	}
 
@@ -341,7 +362,7 @@ func TestDistributedBatchWindow(t *testing.T) {
 
 	var dets []Detection
 	for id := 0; id < 7; id++ {
-		dets = append(dets, clusters[id].Stop()...)
+		dets = append(dets, closeDets(clusters[id])...)
 	}
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != rounds {

@@ -6,6 +6,7 @@ import (
 
 	"hierdet/internal/interval"
 	"hierdet/internal/monitor"
+	"hierdet/internal/obsv"
 	"hierdet/internal/simnet"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
@@ -117,8 +118,8 @@ func TestLiveClusterFailover(t *testing.T) {
 	topo := build()
 	c := New(Config{
 		Topology: topo, Seed: 11, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  sink(nil, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
@@ -132,7 +133,7 @@ func TestLiveClusterFailover(t *testing.T) {
 	c.Drain()
 
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	soundRoots(t, dets)
 	if got := spanCount(dets, 7); got != phase1 || got != refFull {
@@ -184,7 +185,7 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 	c := New(Config{
 		Topology: topo, Seed: 15, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		Events: sink(nil, repaired),
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
@@ -196,7 +197,7 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 	waitCond(t, "parent to drop dead child", func() bool { return c.Metrics()[0].ChildDrops == 1 })
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	soundRoots(t, dets)
 	if got := spanCount(dets, 6); got < phase2 {
@@ -206,7 +207,8 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 
 // TestLiveClusterPartition: with tree-only links, killing a chain's middle
 // strands the tail subtree. Its root exhausts the seek rounds, declares
-// itself a partition root (OnRepair reports tree.None) and keeps detecting
+// itself a partition root (its RepairConcluded event names tree.None as the
+// new parent) and keeps detecting
 // the partial predicate over its own span.
 func TestLiveClusterPartition(t *testing.T) {
 	const phase1, phase2 = 4, 4
@@ -222,8 +224,15 @@ func TestLiveClusterPartition(t *testing.T) {
 	topo := build()
 	c := New(Config{
 		Topology: topo, Seed: 21, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- RepairEvent{orphan, newParent} },
+		HbEvery: 300 * time.Microsecond,
+		Events: func(e obsv.Event) {
+			if e.Kind == obsv.RepairConcluded {
+				select { // never block the worker (see sink)
+				case repaired <- RepairEvent{e.Node, e.Peer}:
+				default:
+				}
+			}
+		},
 	})
 	feedRange(c, e, 0, phase1)
 	c.Drain()
@@ -241,7 +250,7 @@ func TestLiveClusterPartition(t *testing.T) {
 	waitCond(t, "parent to drop dead child", func() bool { return c.Metrics()[0].ChildDrops == 1 })
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	soundRoots(t, dets)
 	// The stranded pair keeps detecting at its own root...

@@ -11,9 +11,9 @@ import (
 )
 
 // TestObserveStopRace hammers the documented lifecycle contract under the
-// race detector: feeders call Observe in a tight loop while Stop lands at an
+// race detector: feeders call Observe in a tight loop while Close lands at an
 // arbitrary moment. Every Observe must either be fully delivered (and its
-// whole cascade drained by Stop) or panic with the documented message —
+// whole cascade drained by Close) or panic with the documented message —
 // never send on a closed channel, never lose a cascade in flight. The seed
 // design (unsynchronized stopped flag + sleep-polling on an atomic counter)
 // fails this test; the credit-ledger design passes by construction.
@@ -32,7 +32,7 @@ func TestObserveStopRace(t *testing.T) {
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
-						if r != "livenet: Observe after Stop" {
+						if r != "livenet: Observe after Close" {
 							panic(r)
 						}
 						rejected.Add(1)
@@ -46,10 +46,10 @@ func TestObserveStopRace(t *testing.T) {
 		}
 		// Let the feeders race the shutdown at a different phase each trial.
 		time.Sleep(time.Duration(trial*20) * time.Microsecond)
-		dets := c.Stop()
+		dets := closeDets(c)
 		wg.Wait()
 
-		// Whatever was accepted before Stop was fully drained: no cascade is
+		// Whatever was accepted before Close was fully drained: no cascade is
 		// still running, so the detection slice is complete and immutable.
 		if observed.Load() == 0 && rejected.Load() == 0 {
 			t.Fatalf("trial %d: no feeder made progress", trial)
@@ -70,16 +70,16 @@ func TestDrainWaitsForCascade(t *testing.T) {
 	feedRange(c, e, 0, rounds)
 	c.Drain()
 	// All root detections must already be recorded — no settling time, no
-	// reliance on Stop.
+	// reliance on Close.
 	m := c.Metrics()
 	roots := m[0].Detections
 	if roots != rounds {
 		t.Fatalf("root detections after Drain = %d, want %d", roots, rounds)
 	}
-	c.Stop()
+	c.Close()
 }
 
-// TestKillIdempotent: killing twice is a no-op, killing after Stop panics.
+// TestKillIdempotent: killing twice is a no-op, killing after Close panics.
 func TestKillIdempotent(t *testing.T) {
 	topo := tree.Balanced(2, 1)
 	c := New(Config{Topology: topo, HbEvery: time.Millisecond})
@@ -89,10 +89,10 @@ func TestKillIdempotent(t *testing.T) {
 	if n := c.Kill(1); n != 0 {
 		t.Fatalf("second Kill = %d, want 0", n)
 	}
-	c.Stop()
+	c.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("Kill after Stop did not panic")
+			t.Error("Kill after Close did not panic")
 		}
 	}()
 	c.Kill(2)
@@ -102,7 +102,7 @@ func TestKillIdempotent(t *testing.T) {
 // the crash, so Kill refuses to inject one.
 func TestKillRequiresHeartbeats(t *testing.T) {
 	c := New(Config{Topology: tree.Balanced(2, 1)})
-	defer c.Stop()
+	defer c.Close()
 	defer func() {
 		if recover() == nil {
 			t.Error("Kill without heartbeats did not panic")

@@ -8,18 +8,15 @@
 // time, so detector state stays single-writer), and a single hashed timer
 // wheel carries every delayed message, repair timeout and heartbeat tick.
 // Steady-state goroutine count is the pool plus the wheel — independent of
-// the process count and of the number of in-flight messages — where the seed
-// design spent one goroutine per node plus one per in-flight message.
-// Messages on one link still genuinely race and arrive out of order (the
+// the process count and of the number of in-flight messages. Messages on one link still genuinely race and arrive out of order (the
 // wheel quantizes each message's pseudo-random delay); the same per-link
 // sequence numbers and resequencers as the simulated runtime (shared via
 // internal/repair) restore queue order at the receiver.
 //
-// With Config.BatchWindow > 0 each node coalesces the reports it owes its
-// parent and flushes them as one message (one wire frame, in distributed
-// mode) per window — the live runtime's port of the simulator's BatchWindow,
-// trading up to one window of detection latency for per-message overhead.
-// Arrivals batch symmetrically: runs of in-order reports released together
+// With Config.AdaptiveFlush each node coalesces the reports its handlers emit
+// during one mailbox drain and flushes them as one message (one wire frame,
+// in distributed mode) at the end of that drain. Arrivals batch
+// symmetrically: runs of in-order reports released together
 // by a resequencer feed the detector through core.Node's batch ingestion
 // (OnIntervals), which runs the elimination loop once per exposed head
 // rather than once per arrival (Algorithm 1 line 2).
@@ -36,12 +33,11 @@
 // Lifecycle is race-clean by construction: a single mutex guards the
 // cluster state machine (running → stopping → stopped) and a message-credit
 // ledger; every message holds exactly one credit from before it is sent
-// until after it is handled, timers take their credit when armed, and Stop
+// until after it is handled, timers take their credit when armed, and Close
 // waits on a condition variable until the ledger drains before tearing the
 // pool and the wheel down. There is no sleep-polling, no unsynchronized
-// flag, and — unlike the seed's per-message sleep goroutines — nothing left
-// sleeping after Stop returns: the wheel cancels its remaining (uncredited)
-// entries instead of firing them.
+// flag, and nothing left sleeping after Close returns: the wheel cancels its
+// remaining (uncredited) entries instead of firing them.
 //
 // With Config.Transport set the cluster becomes one participant of a
 // distributed deployment: it hosts only Config.LocalNodes, traffic between
@@ -79,8 +75,9 @@ type Config struct {
 	// Topology is the spanning tree; one detector node runs per alive node.
 	Topology *tree.Topology
 	// MaxDelay bounds the random per-message delivery delay (default 200µs;
-	// larger values force more reordering). The timer wheel quantizes delays
-	// to its tick (MaxDelay/8, clamped to [20µs, 1ms]).
+	// larger values force more reordering; New rejects negative values).
+	// The timer wheel quantizes delays to its tick (MaxDelay/8, clamped to
+	// [20µs, 1ms]).
 	MaxDelay time.Duration
 	// Seed drives the delay distribution.
 	Seed int64
@@ -95,43 +92,26 @@ type Config struct {
 	// bound, pushing back on the workload. Internal cascade traffic is not
 	// bounded (a blocked worker could deadlock the pool). Zero means 4096.
 	MailboxBound int
-	// BatchWindow coalesces each node's child→parent reports and flushes
-	// them as one message (one wire frame in distributed mode) per window.
-	// Zero sends every report immediately, the paper's per-detection
-	// behaviour.
-	BatchWindow time.Duration
-	// AdaptiveFlush coalesces reports per worker drain instead of per fixed
-	// time window: reports a node emits while its worker drains one mailbox
-	// swap leave as a single message at the end of that drain. The coalescing
-	// unit is the actual burst — a detection cascade triggered by one batch of
-	// deliveries flushes as one frame with zero added latency, while an
-	// isolated report still leaves within its own drain — so the policy adapts
-	// to load where a static BatchWindow must pick one point on the
-	// latency/frame-count trade-off for every node and every phase of the run.
-	// Mutually exclusive with BatchWindow and incompatible with
-	// LegacyDelivery (whose per-message channel loop has no drain boundary,
-	// and which is a frozen baseline anyway).
+	// AdaptiveFlush coalesces a node's child→parent reports per worker
+	// drain: reports a node emits while its worker drains one mailbox swap
+	// leave as a single message (one wire frame in distributed mode) at the
+	// end of that drain. The coalescing unit is the actual burst — a
+	// detection cascade triggered by one batch of deliveries flushes as one
+	// frame with zero added latency, while an isolated report still leaves
+	// within its own drain. Off (the default) sends every report
+	// immediately, the paper's per-detection behaviour.
 	AdaptiveFlush bool
-	// LegacyDelivery restores the seed's delivery plane in full: one inbox
-	// channel and one goroutine per node, one sleeping goroutine per delayed
-	// message, one time.AfterFunc per repair timer and a per-node heartbeat
-	// ticker, instead of the mailbox shards, worker pool and timer wheel. It
-	// exists so the scale benchmarks can measure the rebuilt plane against
-	// the pre-change baseline forever; production configurations leave it
-	// off. LegacyDelivery implies SequentialDetect: the seed plane is a
-	// baseline, and baselines do not silently absorb later engine work.
-	LegacyDelivery bool
 
 	// SequentialDetect restores the single-threaded in-node detection
 	// engine — the paper's Algorithm 1 loop exactly as it ran before the
-	// parallel engine landed. It is the property-test oracle and the
-	// benchmark baseline lane (the role LegacyDelivery plays for the
-	// delivery plane); production configurations leave it off and get the
-	// partitioned engine with flat aggregate storage.
+	// parallel engine landed. It is the parity oracle the property tests and
+	// the replay planes compare the parallel engine against; production
+	// configurations leave it off and get the partitioned engine with flat
+	// aggregate storage.
 	SequentialDetect bool
 	// DetectWorkers sizes the comparison worker set the parallel detection
 	// engine shares across every hosted node (core.Pool). Zero means
-	// GOMAXPROCS. Ignored under SequentialDetect/LegacyDelivery.
+	// GOMAXPROCS. Ignored under SequentialDetect.
 	DetectWorkers int
 
 	// Scheduler attaches the cluster to a shared scheduler substrate (see
@@ -143,7 +123,7 @@ type Config struct {
 	// ignored (the substrate's pools are sized once, at its creation);
 	// MailboxBound still applies per cluster. Nil (the default) keeps a
 	// private pool and wheel — a standalone cluster behaves exactly as
-	// before. Incompatible with LegacyDelivery.
+	// before.
 	Scheduler *SharedScheduler
 
 	// HbEvery enables failure handling: on this period every node publishes
@@ -167,34 +147,24 @@ type Config struct {
 	// to the dead parent are lost, but the latest solution the subtree
 	// found is not.
 	ResendLastOnAdopt bool
-	// OnRepair, when set, is called once per concluded reattachment:
-	// newParent is the adopting node, or tree.None when the orphan
-	// exhausted its candidates and continues as a partition root. It runs
-	// off the cluster's locks (Metrics and Repairs may be called from it;
-	// Stop may not).
-	OnRepair func(orphan, newParent int)
-	// OnDetect, when set, is called for every detection as it is recorded —
-	// the streaming complement of Stop's batch return, which a long-running
-	// process (cmd/hierdet-node) needs. It runs off the cluster's locks but
-	// on worker goroutines, so it must be quick and must not call Stop.
-	OnDetect func(Detection)
-
 	// Events, when set, receives the cluster's full lifecycle stream —
 	// every interval observed, report sent and received, solution found,
 	// interval pruned, node suspected, repair concluded and transport
-	// redial (see obsv.EventKind). It subsumes OnDetect and OnRepair:
-	// every detection arrives as a SolutionFound event and every concluded
-	// repair as a RepairConcluded event, in the same order the deprecated
-	// callbacks would have seen them. Events for one node are delivered in
-	// that node's causal order; events of different nodes interleave, so
-	// the sink must be safe for concurrent calls. Like OnDetect it runs on
-	// runtime goroutines: keep it quick and never call Stop from it.
+	// redial (see obsv.EventKind). Every detection arrives as a
+	// SolutionFound event as it is recorded — the streaming complement of
+	// Detections, which a long-running process (cmd/hierdet-node) needs —
+	// and every concluded reattachment as a RepairConcluded event (Peer is
+	// the adopting node, or tree.None for a partition root). Events for one
+	// node are delivered in that node's causal order; events of different
+	// nodes interleave, so the sink must be safe for concurrent calls. It
+	// runs off the cluster's locks but on runtime goroutines: keep it quick
+	// and never call Close from it.
 	Events func(obsv.Event)
 
 	// Transport switches the cluster to distributed mode: it hosts only
 	// LocalNodes, and messages to every other topology node are wire-encoded
 	// and shipped through the transport (see the package comment). The
-	// cluster starts the transport in New and closes it in Stop.
+	// cluster starts the transport in New and closes it in Close.
 	Transport transport.Transport
 	// LocalNodes is the subset of topology nodes this cluster hosts
 	// (distributed mode only; default: every alive node, i.e. a
@@ -233,7 +203,7 @@ const (
 
 // Cluster is a running set of detector nodes. Create with New, feed local
 // intervals with Observe or ObserveBatch, optionally crash processes with
-// Kill, then call Stop to drain and collect every detection.
+// Kill, then Close to drain and read every detection with Detections.
 type Cluster struct {
 	cfg     Config
 	nodes   map[int]*liveNode
@@ -245,14 +215,14 @@ type Cluster struct {
 	workers int
 	// shared is the substrate this cluster rides (Config.Scheduler), with
 	// seat the cluster's DRR run-queue client on it; both nil in private
-	// mode. halted flips at Stop so the shared wheel stops re-arming this
+	// mode. halted flips at teardown so the shared wheel stops re-arming this
 	// cluster's recurring ticks.
 	shared *SharedScheduler
 	seat   *schedClient
 	halted atomic.Bool
 	// detectPool is the comparison worker set shared by every hosted node's
-	// parallel detection engine; nil under SequentialDetect/LegacyDelivery,
-	// substrate-owned when shared is set (Stop then must not close it).
+	// parallel detection engine; nil under SequentialDetect,
+	// substrate-owned when shared is set (teardown then must not close it).
 	detectPool *core.Pool
 	remote     bool      // distributed mode: Transport is set
 	startAt    time.Time // StartupGrace reference point
@@ -290,6 +260,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Topology == nil {
 		panic("livenet: Topology is required")
 	}
+	if cfg.MaxDelay < 0 {
+		panic("livenet: MaxDelay must not be negative")
+	}
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = 200 * time.Microsecond
 	}
@@ -307,15 +280,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Transport != nil && cfg.StartupGrace == 0 {
 		cfg.StartupGrace = 2 * cfg.HbTimeout
-	}
-	if cfg.Scheduler != nil && cfg.LegacyDelivery {
-		panic("livenet: Scheduler is incompatible with LegacyDelivery")
-	}
-	if cfg.AdaptiveFlush && cfg.LegacyDelivery {
-		panic("livenet: AdaptiveFlush is incompatible with LegacyDelivery")
-	}
-	if cfg.AdaptiveFlush && cfg.BatchWindow > 0 {
-		panic("livenet: AdaptiveFlush and BatchWindow are mutually exclusive coalescing policies")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -348,7 +312,7 @@ func New(cfg Config) *Cluster {
 		}
 	} else {
 		c.wheel = newWheel(cfg.MaxDelay / 8)
-		if !cfg.SequentialDetect && !cfg.LegacyDelivery {
+		if !cfg.SequentialDetect {
 			dw := cfg.DetectWorkers
 			if dw <= 0 {
 				dw = runtime.GOMAXPROCS(0)
@@ -394,18 +358,6 @@ func New(cfg Config) *Cluster {
 	}
 	if c.shared == nil {
 		go c.wheel.run()
-		if cfg.LegacyDelivery {
-			// The seed delivery plane, whole: one goroutine and one inbox
-			// channel per node, heartbeats on per-node tickers (in runLegacy),
-			// delayed messages on fresh sleeping goroutines (in post). The
-			// wheel stays up but idle so Stop's teardown is uniform.
-			for _, ln := range c.nodes {
-				ln.inbox = make(chan message, 256)
-				c.wg.Add(1)
-				go ln.runLegacy()
-			}
-			return c
-		}
 		for i := 0; i < c.workers; i++ {
 			c.wg.Add(1)
 			go c.worker()
@@ -425,7 +377,7 @@ func New(cfg Config) *Cluster {
 // cluster. Intervals of one process must be observed in generation order
 // (they are at the emitting process by construction); different processes
 // may call Observe concurrently. Observe blocks while p's mailbox shard is
-// at its bound (backpressure) and must not be called after Stop;
+// at its bound (backpressure) and must not be called after Close;
 // observations for killed processes are silently dropped (the process is
 // dead — it generates nothing).
 func (c *Cluster) Observe(p int, iv interval.Interval) {
@@ -464,7 +416,7 @@ func (c *Cluster) admit(p, credits int) *liveNode {
 	c.mu.Lock()
 	if c.state != clusterRunning {
 		c.mu.Unlock()
-		panic("livenet: Observe after Stop")
+		panic("livenet: Observe after Close")
 	}
 	if c.killed[p] {
 		c.mu.Unlock()
@@ -478,8 +430,8 @@ func (c *Cluster) admit(p, credits int) *liveNode {
 // Kill crashes process node (crash-stop: it stops beating, handling and
 // sending forever; queued and in-flight messages to it are discarded). It
 // returns the number of orphan subtrees the crash created — the number of
-// OnRepair callbacks that will eventually fire as each orphan reattaches or
-// gives up. Killing requires heartbeats (Config.HbEvery > 0); killing an
+// RepairConcluded events that will eventually fire as each orphan reattaches
+// or gives up. Killing requires heartbeats (Config.HbEvery > 0); killing an
 // already-dead process returns 0.
 func (c *Cluster) Kill(node int) int {
 	if c.cfg.HbEvery <= 0 {
@@ -492,7 +444,7 @@ func (c *Cluster) Kill(node int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != clusterRunning {
-		panic("livenet: Kill after Stop")
+		panic("livenet: Kill after Close")
 	}
 	if c.killed[node] {
 		return 0
@@ -506,7 +458,7 @@ func (c *Cluster) Kill(node int) int {
 
 // Drain blocks until the message-credit ledger is empty: every observation
 // fed so far, and the whole report cascade it triggered, has been handled.
-// Armed repair timers and pending batch-window flushes hold credits too, so
+// Armed repair timers and buffered AdaptiveFlush reports hold credits too, so
 // after the survivors have begun a reattachment Drain also covers its
 // conclusion. It does not stop anything; Observe may be called again
 // afterwards.
@@ -518,62 +470,31 @@ func (c *Cluster) Drain() {
 	c.mu.Unlock()
 }
 
-// Stop waits for the cluster to go idle, shuts the delivery plane down and
-// returns every detection, ordered by node id and then detection order at
-// that node.
+// Close waits for the cluster to go idle, shuts the delivery plane down and
+// makes every detection readable through Detections. It follows the
+// io.Closer convention: closing an already-closed cluster returns nil. Close
+// never fails; the error return exists so every long-lived object in the
+// package family (Cluster, tenant-plane Multiplexer, replay
+// Recorder/Replayer) closes through the same signature.
 //
 // The quiescence protocol (quiesceLocked): state moves to stopping (new
-// Observe calls panic, internal cascade traffic still flows), then Stop
+// Observe calls panic, internal cascade traffic still flows), then Close
 // waits on the condition variable until the credit ledger drains. Because
 // every message acquires its credit under mu before it is sent — timers at
 // arm time — a drained ledger means no credited delivery can be
 // outstanding, so moving to stopped and cancelling the wheel (teardown)
 // cannot lose work. The wheel's surviving entries are the uncredited
 // heartbeat ticks; they are discarded, the workers take their stop
-// sentinels, and nothing is left sleeping or running when Stop returns.
-//
-// Stop is the original teardown entry point, kept as a compatibility alias:
-// it is exactly Close followed by Detections, except that stopping an
-// already-stopped cluster panics (the historical contract, which existing
-// callers rely on to flag double-teardown bugs). New code should prefer
-// Close (idempotent) or Shutdown (deadline-aware).
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (c *Cluster) Stop() []Detection {
-	c.mu.Lock()
-	if c.state != clusterRunning {
-		c.mu.Unlock()
-		panic("livenet: Stop called twice")
-	}
-	c.quiesceLocked(nil)
-	c.mu.Unlock()
-	return c.teardown()
-}
-
-// Close waits for the cluster to go idle and shuts the delivery plane down,
-// exactly like Stop, but follows the io.Closer convention: it returns nil on
-// an already-closed cluster instead of panicking, and it does not hand the
-// detections back — read them with Detections. Close never fails; the error
-// return exists so every long-lived object in the package family (Cluster,
-// tenant-plane Multiplexer, replay Recorder/Replayer) closes through the
-// same signature.
+// sentinels, and nothing is left sleeping or running when Close returns.
 func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.state != clusterRunning {
-		c.mu.Unlock()
-		return nil
-	}
-	c.quiesceLocked(nil)
-	c.mu.Unlock()
-	c.teardown()
-	return nil
+	return c.Shutdown(context.Background())
 }
 
 // Shutdown is Close with a deadline: it waits for the message-credit ledger
 // to drain only as long as ctx allows. If the ledger drains in time the
 // cluster tears down exactly as Close does and Shutdown returns nil. If ctx
 // expires first, Shutdown returns ctx.Err() and the cluster RESUMES RUNNING —
-// no work has been lost, Observe is legal again, and a later Close/Stop/
+// no work has been lost, Observe is legal again, and a later Close or
 // Shutdown can finish the job. On an already-stopped cluster Shutdown
 // returns nil.
 func (c *Cluster) Shutdown(ctx context.Context) error {
@@ -596,15 +517,15 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 
 // quiesceLocked runs the quiescence protocol under mu: state moves to
 // stopping (new Observe calls panic, internal cascade traffic still flows),
-// then waits on the condition variable until the credit ledger drains — or,
-// when ctx is non-nil, until ctx expires, whichever comes first. Returns true
+// then waits on the condition variable until the credit ledger drains or ctx
+// expires, whichever comes first. Returns true
 // with state at clusterStopped when the ledger drained, false with state
 // still at clusterStopping when ctx expired first (the caller restores
 // clusterRunning).
 func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 	c.state = clusterStopping
 	var stopWatch chan struct{}
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		// The waiter below sleeps on the cond; a context expiry has to kick
 		// it awake. The watcher is told to stand down once quiescence
 		// resolves either way.
@@ -621,7 +542,7 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 		defer close(stopWatch)
 	}
 	for c.pending != 0 {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return false
 		}
 		c.cond.Wait()
@@ -631,10 +552,10 @@ func (c *Cluster) quiesceLocked(ctx context.Context) bool {
 }
 
 // teardown dismantles the delivery plane after a successful quiescence
-// (state is clusterStopped, ledger empty — see Stop's doc comment for why
-// nothing can be lost from here) and returns the final sorted detection
-// list, also stashing it for Detections.
-func (c *Cluster) teardown() []Detection {
+// (state is clusterStopped, ledger empty — see Close's doc comment for why
+// nothing can be lost from here) and stashes the final sorted detection
+// list for Detections.
+func (c *Cluster) teardown() {
 	c.halted.Store(true)
 	if c.shared != nil {
 		// Shared substrate: the wheel and pools belong to the substrate and
@@ -650,16 +571,8 @@ func (c *Cluster) teardown() []Detection {
 		// run queue.
 		c.wheel.stop()
 		<-c.wheel.done
-		if c.cfg.LegacyDelivery {
-			// Seed teardown: the drained ledger means no send can be in
-			// flight, so closing the inboxes cannot race one.
-			for _, ln := range c.nodes {
-				close(ln.inbox)
-			}
-		} else {
-			for i := 0; i < c.workers; i++ {
-				c.runq <- nil
-			}
+		for i := 0; i < c.workers; i++ {
+			c.runq <- nil
 		}
 		c.wg.Wait()
 		// With the delivery workers gone no detection can be in flight, so
@@ -669,12 +582,12 @@ func (c *Cluster) teardown() []Detection {
 	if c.remote {
 		// Incoming frames have been dropped (not credited) since the state
 		// reached stopped; Close additionally waits out any receive callback
-		// already in flight, so nothing touches the cluster after Stop.
+		// already in flight, so nothing touches the cluster after Close.
 		c.cfg.Transport.Close()
 	}
 	// Ownership transfer, not a copy: teardown runs once (quiescence resolves
 	// exactly once) and nothing records into a stopped cluster, so the
-	// accumulated list can be handed to the caller as-is.
+	// accumulated list becomes the final one as-is.
 	c.mu.Lock()
 	out := c.dets
 	c.dets = nil
@@ -688,14 +601,13 @@ func (c *Cluster) teardown() []Detection {
 	c.mu.Lock()
 	c.final = out
 	c.mu.Unlock()
-	return out
 }
 
 // Detections returns the final detection list — ordered by node id, then
-// detection order at that node — once the cluster has stopped (via Stop,
-// Close or a successful Shutdown). Before that it returns nil: the list is
-// only final after teardown. The slice is shared with Stop's return value;
-// treat it as read-only.
+// detection order at that node — once the cluster has stopped (via Close or
+// a successful Shutdown). Before that it returns nil: the list is only final
+// after teardown. The slice is shared between callers; treat it as
+// read-only.
 func (c *Cluster) Detections() []Detection {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -735,11 +647,9 @@ func (c *Cluster) Repairs() []RepairEvent {
 
 // post ships a message to a node's mailbox after delay, taking the message's
 // pending credit first. During stopping the internal cascade is still
-// allowed — Stop drains it; only after stopped (ledger empty, so nothing can
-// legally be in flight) is the message dropped. Zero-delay messages enqueue
-// directly; delayed ones ride the wheel — or, under LegacyDelivery, a fresh
-// sleeping goroutine, the seed behaviour the scale benchmarks baseline
-// against.
+// allowed — Close drains it; only after stopped (ledger empty, so nothing
+// can legally be in flight) is the message dropped. Zero-delay messages
+// enqueue directly; delayed ones ride the wheel.
 func (c *Cluster) post(to int, msg message, delay time.Duration) {
 	dst, ok := c.nodes[to]
 	if !ok {
@@ -752,31 +662,15 @@ func (c *Cluster) post(to int, msg message, delay time.Duration) {
 	}
 	c.pending++
 	c.mu.Unlock()
-	switch {
-	case delay <= 0:
+	if delay <= 0 {
 		c.enqueue(dst, msg, false)
-	case c.cfg.LegacyDelivery:
-		// Kept out of line: a closure here would capture msg and force every
-		// zero-delay post — the hot path — to heap-allocate the message.
-		c.postLegacy(dst, msg, delay)
-	default:
-		c.wheel.schedule(dst, msg, delay, 0)
+		return
 	}
-}
-
-// postLegacy delivers a delayed message the seed way: a fresh sleeping
-// goroutine per message.
-//
-//go:noinline
-func (c *Cluster) postLegacy(dst *liveNode, msg message, delay time.Duration) {
-	go func() {
-		time.Sleep(delay)
-		c.enqueue(dst, msg, false)
-	}()
+	c.wheel.schedule(dst, msg, delay, 0)
 }
 
 // armTimer schedules a timer message, taking its pending credit at arm time:
-// an armed timer keeps the ledger non-zero, so Stop cannot tear the delivery
+// an armed timer keeps the ledger non-zero, so Close cannot tear the delivery
 // plane down under a pending timer.
 func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
 	c.mu.Lock()
@@ -786,17 +680,12 @@ func (c *Cluster) armTimer(ln *liveNode, d time.Duration, msg message) {
 	}
 	c.pending++
 	c.mu.Unlock()
-	if c.cfg.LegacyDelivery {
-		c.armLegacy(ln, d, msg)
-		return
-	}
 	c.wheel.schedule(ln, msg, d, 0)
 }
 
 // takeFlushCredit reserves one ledger credit for an AdaptiveFlush drain-end
-// flush — armTimer's role for the batch-window timer, without a timer. A
-// buffered report must keep the ledger non-zero until its flush, or Drain and
-// Stop could observe quiescence with reports still sitting in outBuf. The
+// flush — armTimer's role, without a timer. A buffered report must keep the
+// ledger non-zero until its flush, or Drain and Close could observe quiescence with reports still sitting in outBuf. The
 // credit is released by runNode after the flush runs (or after the buffer is
 // discarded because the node went down). Returns false after stopped, when
 // nothing may enter the ledger anymore.
@@ -810,14 +699,6 @@ func (c *Cluster) takeFlushCredit() bool {
 	return true
 }
 
-// armLegacy is postLegacy's timer twin, out of line for the same reason: the
-// AfterFunc closure must not make wheel-mode armTimer heap-allocate msg.
-//
-//go:noinline
-func (c *Cluster) armLegacy(ln *liveNode, d time.Duration, msg message) {
-	time.AfterFunc(d, func() { c.enqueue(ln, msg, false) })
-}
-
 // done returns one message's credit to the ledger.
 func (c *Cluster) done() {
 	c.mu.Lock()
@@ -828,7 +709,7 @@ func (c *Cluster) done() {
 	c.mu.Unlock()
 }
 
-// record stores a detection and notifies the sinks. It runs on the detecting
+// record stores a detection and emits its SolutionFound event. It runs on the detecting
 // node's worker, so SolutionFound events keep that node's causal order.
 func (c *Cluster) record(d Detection) {
 	c.mu.Lock()
@@ -836,21 +717,15 @@ func (c *Cluster) record(d Detection) {
 	c.mu.Unlock()
 	c.emitEvent(obsv.Event{Kind: obsv.SolutionFound, Node: d.Node, Peer: obsv.NoPeer,
 		Seq: d.Det.Agg.Seq, Count: 1, AtRoot: d.AtRoot, Agg: d.Det.Agg, Set: d.Det.Set})
-	if c.cfg.OnDetect != nil {
-		c.cfg.OnDetect(d)
-	}
 }
 
-// notifyRepair records a concluded reattachment and runs the user callback
-// outside the cluster lock.
+// notifyRepair records a concluded reattachment and emits its
+// RepairConcluded event outside the cluster lock.
 func (c *Cluster) notifyRepair(orphan, newParent int) {
 	c.mu.Lock()
 	c.repairs = append(c.repairs, RepairEvent{Orphan: orphan, NewParent: newParent})
 	c.mu.Unlock()
 	c.emitEvent(obsv.Event{Kind: obsv.RepairConcluded, Node: orphan, Peer: newParent, Count: 1})
-	if c.cfg.OnRepair != nil {
-		c.cfg.OnRepair(orphan, newParent)
-	}
 }
 
 // send routes a message: through the in-process mailbox when this cluster

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,12 +33,18 @@ func feed(c *Cluster, e *workload.Execution, topo *tree.Topology) {
 	wg.Wait()
 }
 
+// closeDets closes c and returns its final detections.
+func closeDets(c *Cluster) []Detection {
+	c.Close()
+	return c.Detections()
+}
+
 func TestLiveClusterDetectsAllPulses(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 15, Seed: 1, PGlobal: 1})
 	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true})
 	feed(c, e, topo)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	roots := 0
 	for _, d := range dets {
@@ -59,7 +66,7 @@ func TestLiveClusterMatchesFlatReferenceOnChaos(t *testing.T) {
 		e := workload.GenerateChaotic(workload.ChaoticConfig{N: 7, Steps: 700, Seed: int64(trial)})
 		c := New(Config{Topology: topo, Seed: int64(trial), Strict: true, KeepMembers: true})
 		feed(c, e, topo)
-		dets := c.Stop()
+		dets := closeDets(c)
 
 		perNode := map[int]int{}
 		for _, d := range dets {
@@ -81,7 +88,7 @@ func TestLiveClusterGroupLevel(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 20, Seed: 2, PGroup: 1})
 	c := New(Config{Topology: topo, Seed: 5, Strict: true, KeepMembers: true})
 	feed(c, e, topo)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	// Group rounds never satisfy the global predicate...
 	for _, d := range dets {
@@ -108,7 +115,7 @@ func TestLiveClusterHeavyReordering(t *testing.T) {
 	// each other constantly; Strict panics if resequencing ever fails.
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, MaxDelay: 2 * time.Millisecond})
 	feed(c, e, topo)
-	dets := c.Stop()
+	dets := closeDets(c)
 	roots := 0
 	for _, d := range dets {
 		if d.AtRoot {
@@ -123,7 +130,7 @@ func TestLiveClusterHeavyReordering(t *testing.T) {
 func TestLiveClusterValidation(t *testing.T) {
 	topo := tree.Balanced(2, 1)
 	c := New(Config{Topology: topo})
-	defer c.Stop()
+	defer c.Close()
 	for name, f := range map[string]func(){
 		"nil-topo":    func() { New(Config{}) },
 		"unknown-obs": func() { c.Observe(99, interval.Interval{}) },
@@ -139,13 +146,18 @@ func TestLiveClusterValidation(t *testing.T) {
 	}
 }
 
-func TestStopTwicePanics(t *testing.T) {
-	c := New(Config{Topology: tree.Balanced(2, 1)})
-	c.Stop()
+// TestNegativeMaxDelayRejected: a negative delay bound would panic a worker
+// inside the delay draw on the first report; New refuses it up front with a
+// message naming the field.
+func TestNegativeMaxDelayRejected(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("second Stop did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("New with negative MaxDelay did not panic")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "MaxDelay") {
+			t.Fatalf("panic = %v, want a message naming MaxDelay", r)
 		}
 	}()
-	c.Stop()
+	New(Config{Topology: tree.Balanced(2, 2), MaxDelay: -time.Millisecond})
 }

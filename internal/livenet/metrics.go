@@ -66,8 +66,8 @@ type Metrics struct {
 	// BadFrames counts transport frames addressed to this node that failed
 	// wire decoding and were dropped (distributed mode only).
 	BadFrames int `json:"badFrames"`
-	// BatchFlushes counts batch-window flushes this node sent its parent
-	// (Config.BatchWindow > 0 only); MsgsOut counts each flush as one
+	// BatchFlushes counts drain-end report batches this node sent its
+	// parent (Config.AdaptiveFlush only); MsgsOut counts each flush as one
 	// message, so reports-per-flush is the coalescing win.
 	BatchFlushes int `json:"batchFlushes"`
 	// MailboxDepth is the node's current mailbox shard depth;
@@ -171,7 +171,7 @@ func (m *nodeMetrics) snapshot() Metrics {
 }
 
 // Metrics returns a snapshot of every node's runtime counters, keyed by
-// node id. Safe to call at any time, including after Stop. Map iteration
+// node id. Safe to call at any time, including after Close. Map iteration
 // order is random; use MetricsByNode for a stable order.
 func (c *Cluster) Metrics() map[int]Metrics {
 	out := make(map[int]Metrics, len(c.nodes))
@@ -288,7 +288,7 @@ type ClusterMetrics struct {
 }
 
 // ClusterMetrics aggregates a snapshot of the whole cluster. Safe at any
-// time, including concurrently with Observe, Kill, repair and Stop.
+// time, including concurrently with Observe, Kill, repair and Close.
 func (c *Cluster) ClusterMetrics() ClusterMetrics {
 	out := ClusterMetrics{
 		Nodes:   len(c.nodes),
@@ -363,7 +363,7 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 
 // Registry returns the cluster's metrics registry — every plane's families,
 // ready for Prometheus exposition (obsv.Registry.Handler) or programmatic
-// reads. The registry is created in New and stays valid after Stop.
+// reads. The registry is created in New and stays valid after Close.
 func (c *Cluster) Registry() *obsv.Registry { return c.reg }
 
 // noteLatency records one observe→SolutionFound measurement: a detection was
@@ -437,7 +437,7 @@ func (c *Cluster) registerFamilies() {
 		func(ln *liveNode) float64 { return float64(ln.m.heartbeats.Load()) })
 	perNode("hierdet_node_bad_frames_total", "Transport frames that failed wire decoding.", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.badFrames.Load()) })
-	perNode("hierdet_node_batch_flushes_total", "Batch-window flushes sent to the parent.", obsv.KindCounter,
+	perNode("hierdet_node_batch_flushes_total", "Drain-end report batches sent to the parent (AdaptiveFlush).", obsv.KindCounter,
 		func(ln *liveNode) float64 { return float64(ln.m.batchFlushes.Load()) })
 	perNode("hierdet_node_reseq_buffered", "Reports held back by resequencers awaiting a gap.", obsv.KindGauge,
 		func(ln *liveNode) float64 { return float64(ln.m.reseqBuffered.Load()) })
@@ -486,7 +486,7 @@ func (c *Cluster) registerFamilies() {
 
 	// Observe→SolutionFound latency. Buckets span 1µs to ~2s: the floor is
 	// below any real pipeline traversal and the ceiling absorbs a saturated
-	// batched plane on a loaded box, so the p99 almost never clamps.
+	// plane on a loaded box, so the p99 almost never clamps.
 	c.latHist = c.reg.Histogram("hierdet_latency_observe_to_solution_seconds",
 		"Latency from an interval entering the cluster (Observe) to the recording of the detection its cascade completed. In-process hops only: stamps do not cross a transport.",
 		obsv.ExponentialBuckets(1e-6, 2, 22))

@@ -21,11 +21,10 @@ const (
 	msgLocal       msgKind = iota // a completed local-predicate interval
 	msgLocalBatch                 // a run of completed local intervals (ObserveBatch)
 	msgReport                     // a child→parent aggregate report
-	msgReportBatch                // a window's worth of reports, flushed as one message
+	msgReportBatch                // a drain's worth of reports, flushed as one message
 	msgAttach                     // a reattachment-protocol message
 	msgHeartbeat                  // a liveness beat with repair state (distributed mode)
 	msgHbTick                     // the wheel's recurring heartbeat tick (uncredited)
-	msgFlush                      // batch-window flush timer
 	msgSeekTimeout                // per-candidate grant timeout (seq = reqID)
 	msgSeekBackoff                // between-rounds pause (seq = round)
 )
@@ -73,25 +72,19 @@ type liveNode struct {
 	down atomic.Bool  // crashed: drain messages without handling, stop beating
 	beat atomic.Int64 // liveness beacon: UnixNano of the last published beat
 
-	// inbox replaces mb under Config.LegacyDelivery: the seed's per-node
-	// channel, drained by a dedicated goroutine (runLegacy). Nil otherwise.
-	inbox chan message
-
 	node    *core.Node
 	parent  int
 	outSeq  int               // per-current-link counter for reports to parent
 	lastAgg interval.Interval // most recent aggregate, for resend-on-adopt
 	hasAgg  bool              // lastAgg holds a real aggregate
 
-	// Report coalescing state. outBuf holds reports owed to the parent:
-	// under Config.BatchWindow > 0 until the armed flush timer fires
-	// (flushPending), under Config.AdaptiveFlush until the worker reaches the
-	// end of the current mailbox drain (drainFlush — which also records that
-	// the buffer holds one ledger credit, taken at first buffer and released
-	// by runNode after the drain-end flush).
-	outBuf       []repair.Report
-	flushPending bool
-	drainFlush   bool
+	// Report coalescing state (Config.AdaptiveFlush). outBuf holds reports
+	// owed to the parent until the worker reaches the end of the current
+	// mailbox drain; drainFlush records that the buffer holds one ledger
+	// credit, taken at first buffer and released by runNode after the
+	// drain-end flush.
+	outBuf     []repair.Report
+	drainFlush bool
 	// born is the stamp of the message currently being handled (see
 	// message.born); bufBorn carries the oldest stamp among the reports
 	// sitting in outBuf, so a coalesced flush propagates the stamp of the
@@ -164,40 +157,6 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	ln.beat.Store(time.Now().UnixNano())
 }
 
-// runLegacy is the seed's node goroutine, preserved verbatim for the
-// LegacyDelivery baseline: handle inbox messages one channel receive at a
-// time, and — with heartbeats enabled — beat on a per-node ticker.
-func (ln *liveNode) runLegacy() {
-	defer ln.c.wg.Done()
-	var tick <-chan time.Time
-	if ln.c.cfg.HbEvery > 0 {
-		t := time.NewTicker(ln.c.cfg.HbEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case msg, ok := <-ln.inbox:
-			if !ok {
-				return
-			}
-			// A crashed node keeps draining its inbox — the channel is the
-			// wire, and messages to the dead are simply lost — but handles
-			// nothing.
-			if !ln.down.Load() {
-				ln.handle(msg)
-			}
-			if creditedKind(msg.kind) {
-				ln.c.done()
-			}
-		case <-tick:
-			if !ln.down.Load() {
-				ln.heartbeat()
-			}
-		}
-	}
-}
-
 func (ln *liveNode) handle(msg message) {
 	ln.born = msg.born
 	switch msg.kind {
@@ -250,8 +209,6 @@ func (ln *liveNode) handle(msg message) {
 		if ln.c.cfg.HbEvery > 0 {
 			ln.heartbeat()
 		}
-	case msgFlush:
-		ln.flushReports()
 	case msgSeekTimeout:
 		ln.getSeeker().OnTimeout(msg.seq)
 	case msgSeekBackoff:
@@ -306,9 +263,9 @@ func (ln *liveNode) deliver(dets []core.Detection) {
 }
 
 // report ships an aggregate to the parent — immediately on a racing delayed
-// path when batch windows are off, or into the window buffer when they are
-// on. Reports to a crashed parent are lost (its mailbox drains unhandled),
-// exactly like in-flight messages to a crashed process.
+// path, or into the drain buffer under AdaptiveFlush. Reports to a crashed
+// parent are lost (its mailbox drains unhandled), exactly like in-flight
+// messages to a crashed process.
 func (ln *liveNode) report(agg interval.Interval) {
 	ln.lastAgg, ln.hasAgg = agg, true
 	ln.emit(agg)
@@ -323,12 +280,10 @@ func (ln *liveNode) resendLast() {
 	ln.emit(ln.lastAgg)
 }
 
-// emit assigns the next link sequence number and either sends the report or
-// buffers it for a pending flush. Under AdaptiveFlush the buffer drains at
-// the end of the current mailbox drain (runNode), covered by an explicit
-// ledger credit taken at first buffer; under a batch window it drains when
-// the armed flush timer fires — a credited wheel entry. Either way Drain and
-// Stop cover buffered reports.
+// emit assigns the next link sequence number and either sends the report or,
+// under AdaptiveFlush, buffers it until the end of the current mailbox drain
+// (runNode). The buffer is covered by an explicit ledger credit taken at
+// first buffer, so Drain and Close cover buffered reports.
 func (ln *liveNode) emit(agg interval.Interval) {
 	pl := repair.Report{Iv: agg, LinkSeq: ln.outSeq, Epoch: ln.epochs.Stamp()}
 	ln.outSeq++
@@ -340,18 +295,9 @@ func (ln *liveNode) emit(agg interval.Interval) {
 		}
 		return
 	}
-	if ln.c.cfg.BatchWindow <= 0 {
-		ln.m.msgsOut.Add(1)
-		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent, Seq: pl.LinkSeq, Count: 1})
-		ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, iv: pl.Iv, born: ln.born}, ln.delay())
-		return
-	}
-	ln.bufferBorn()
-	ln.outBuf = append(ln.outBuf, pl)
-	if !ln.flushPending {
-		ln.flushPending = true
-		ln.c.armTimer(ln, ln.c.cfg.BatchWindow, message{kind: msgFlush})
-	}
+	ln.m.msgsOut.Add(1)
+	ln.c.emitEvent(obsv.Event{Kind: obsv.ReportSent, Node: ln.id, Peer: ln.parent, Seq: pl.LinkSeq, Count: 1})
+	ln.c.send(ln.parent, message{kind: msgReport, from: ln.id, seq: pl.LinkSeq, epoch: pl.Epoch, iv: pl.Iv, born: ln.born}, ln.delay())
 }
 
 // bufferBorn folds the current handle's observation stamp into the buffered
@@ -363,12 +309,11 @@ func (ln *liveNode) bufferBorn() {
 	}
 }
 
-// flushReports sends the buffered window to the parent as one message (one
-// wire frame in distributed mode). Runs on the node's worker from the flush
-// timer, and synchronously before a parent switch — buffered sequence
+// flushReports sends the buffered reports to the parent as one message (one
+// wire frame in distributed mode). Runs on the node's worker at the end of a
+// drain, and synchronously before a parent switch — buffered sequence
 // numbers belong to the old link, so they must go (or be lost) there.
 func (ln *liveNode) flushReports() {
-	ln.flushPending = false
 	if len(ln.outBuf) == 0 {
 		return
 	}

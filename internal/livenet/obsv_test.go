@@ -38,35 +38,26 @@ func (l *eventLog) ofKind(k obsv.EventKind) []obsv.Event {
 	return out
 }
 
-// TestEventsSubsumeCallbacks runs one failover workload with the deprecated
-// OnDetect/OnRepair callbacks AND the Events sink installed, and checks the
-// stream carries everything the callbacks saw: one SolutionFound per
-// OnDetect with the same node, root flag and aggregate; one RepairConcluded
-// per OnRepair with the same orphan and adopter.
+// TestEventsSubsumeCallbacks runs one failover workload with the Events sink
+// installed and checks the stream is a complete streaming view of the
+// cluster's own records, so no separate detection or repair callback is
+// needed: one SolutionFound per entry of Detections with the same node, root
+// flag and aggregate; one RepairConcluded per entry of Repairs with the same
+// orphan and adopter.
 func TestEventsSubsumeCallbacks(t *testing.T) {
 	const phase1, phase2, victim = 6, 6, 1
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: phase1 + phase2, Seed: 8, PGlobal: 1})
 
 	var log eventLog
-	var cbMu sync.Mutex
-	var cbDets []Detection
-	var cbRepairs []RepairEvent
 	repaired := make(chan int, 8)
+	repairs := sink(nil, repaired)
 	c := New(Config{
 		Topology: topo, Seed: 13, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond,
-		Events:  log.sink,
-		OnDetect: func(d Detection) {
-			cbMu.Lock()
-			cbDets = append(cbDets, d)
-			cbMu.Unlock()
-		},
-		OnRepair: func(orphan, newParent int) {
-			cbMu.Lock()
-			cbRepairs = append(cbRepairs, RepairEvent{Orphan: orphan, NewParent: newParent})
-			cbMu.Unlock()
-			repaired <- orphan
+		Events: func(e obsv.Event) {
+			log.sink(e)
+			repairs(e)
 		},
 	})
 	feedRange(c, e, 0, phase1)
@@ -75,27 +66,26 @@ func TestEventsSubsumeCallbacks(t *testing.T) {
 	awaitRepairs(t, repaired, orphans)
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	c.Stop()
-
+	c.Close()
+	dets := c.Detections()
 	found := log.ofKind(obsv.SolutionFound)
-	if len(found) != len(cbDets) {
-		t.Fatalf("SolutionFound events = %d, OnDetect calls = %d", len(found), len(cbDets))
+	if len(found) != len(dets) {
+		t.Fatalf("SolutionFound events = %d, Detections = %d", len(found), len(dets))
 	}
-	// Both are appended from the same worker call sites, so they pair up in
-	// order for a single-node view; across nodes order can differ, so match
-	// as multisets keyed by the full payload.
+	// Events arrive in per-node causal order while Detections is sorted by
+	// node, so match as multisets keyed by the full payload.
 	type detKey struct {
 		node, seq, span int
 		atRoot          bool
 	}
 	count := map[detKey]int{}
-	for _, d := range cbDets {
+	for _, d := range dets {
 		count[detKey{d.Node, d.Det.Agg.Seq, len(d.Det.Agg.Span), d.AtRoot}]++
 	}
 	for _, ev := range found {
 		k := detKey{ev.Node, ev.Agg.Seq, len(ev.Agg.Span), ev.AtRoot}
 		if count[k] == 0 {
-			t.Fatalf("SolutionFound %+v has no matching OnDetect call", k)
+			t.Fatalf("SolutionFound %+v has no matching detection", k)
 		}
 		count[k]--
 		if ev.Seq != ev.Agg.Seq || ev.Count != 1 || ev.Peer != obsv.NoPeer {
@@ -107,17 +97,18 @@ func TestEventsSubsumeCallbacks(t *testing.T) {
 	}
 
 	reps := log.ofKind(obsv.RepairConcluded)
-	if len(reps) != len(cbRepairs) {
-		t.Fatalf("RepairConcluded events = %d, OnRepair calls = %d", len(reps), len(cbRepairs))
+	recorded := c.Repairs()
+	if len(reps) != len(recorded) {
+		t.Fatalf("RepairConcluded events = %d, Repairs = %d", len(reps), len(recorded))
 	}
 	repCount := map[RepairEvent]int{}
-	for _, r := range cbRepairs {
+	for _, r := range recorded {
 		repCount[r]++
 	}
 	for _, ev := range reps {
 		r := RepairEvent{Orphan: ev.Node, NewParent: ev.Peer}
 		if repCount[r] == 0 {
-			t.Fatalf("RepairConcluded %+v has no matching OnRepair call", r)
+			t.Fatalf("RepairConcluded %+v has no matching repair record", r)
 		}
 		repCount[r]--
 	}
@@ -139,7 +130,7 @@ func TestEventStreamPerNodeOrder(t *testing.T) {
 	var log eventLog
 	c := New(Config{Topology: topo, Seed: 9, Strict: true, KeepMembers: true, Events: log.sink})
 	feed(c, e, topo)
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	nextSeq := map[int]int{}
 	for _, ev := range log.ofKind(obsv.ReportSent) {
@@ -189,8 +180,8 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	c := New(Config{
 		Topology: topo, Seed: 31, Strict: true, KeepMembers: true,
-		HbEvery:  300 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan },
+		HbEvery: 300 * time.Microsecond,
+		Events:  sink(nil, repaired),
 	})
 
 	stop := make(chan struct{})
@@ -223,7 +214,7 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 	awaitRepairs(t, repaired, orphans)
 	c.Drain()
 	feedRange(c, e, phase1, phase1+phase2)
-	dets := c.Stop()
+	dets := closeDets(c)
 	close(stop)
 	scrapers.Wait()
 
@@ -232,13 +223,13 @@ func TestMetricsSnapshotsDuringFailover(t *testing.T) {
 		t.Fatalf("Nodes = %d, want %d", cm.Nodes, topo.N())
 	}
 	if cm.Detections != int64(len(dets)) {
-		t.Errorf("ClusterMetrics.Detections = %d, Stop returned %d", cm.Detections, len(dets))
+		t.Errorf("ClusterMetrics.Detections = %d, Detections returned %d", cm.Detections, len(dets))
 	}
 	if cm.KilledProcesses != 1 || cm.Repairs != int64(orphans) {
 		t.Errorf("killed = %d repairs = %d, want 1 and %d", cm.KilledProcesses, cm.Repairs, orphans)
 	}
 	if cm.PendingCredits != 0 {
-		t.Errorf("PendingCredits = %d after Stop, want 0", cm.PendingCredits)
+		t.Errorf("PendingCredits = %d after Close, want 0", cm.PendingCredits)
 	}
 	if cm.Events["solution_found"] != int64(len(dets)) {
 		t.Errorf("events[solution_found] = %d, want %d", cm.Events["solution_found"], len(dets))
@@ -269,8 +260,7 @@ func TestClusterMetricsJSONStable(t *testing.T) {
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 3, Seed: 2, PGlobal: 1})
 	c := New(Config{Topology: topo, Seed: 7})
 	feed(c, e, topo)
-	c.Stop()
-
+	c.Close()
 	raw, err := json.Marshal(c.ClusterMetrics())
 	if err != nil {
 		t.Fatal(err)
@@ -323,14 +313,17 @@ func TestClusterMetricsJSONStable(t *testing.T) {
 
 // TestPrometheusExpositionCoversPlanes scrapes one run's registry and checks
 // the family names the CI smoke test greps for: the node, scheduler, wheel,
-// cluster and event planes all present, with per-node series labelled.
+// cluster and event planes all present, with per-node series labelled. The
+// run coalesces reports (AdaptiveFlush), so the batch-flush counter moves.
 func TestPrometheusExpositionCoversPlanes(t *testing.T) {
 	topo := tree.Balanced(2, 2)
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 8, Seed: 3, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 12, BatchWindow: 200 * time.Microsecond})
+	c := New(Config{Topology: topo, Seed: 12, AdaptiveFlush: true})
 	feed(c, e, topo)
-	c.Stop()
-
+	c.Close()
+	if c.ClusterMetrics().BatchFlushes == 0 {
+		t.Error("AdaptiveFlush run recorded no batch flushes")
+	}
 	var sb strings.Builder
 	if err := c.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -340,6 +333,7 @@ func TestPrometheusExpositionCoversPlanes(t *testing.T) {
 		"# TYPE hierdet_node_msgs_in_total counter",
 		"# TYPE hierdet_node_intervals_in_total counter",
 		"# TYPE hierdet_node_mailbox_depth gauge",
+		"# TYPE hierdet_node_batch_flushes_total counter",
 		`hierdet_node_detections_total{node="0"}`,
 		"# TYPE hierdet_sched_workers gauge",
 		"hierdet_sched_drains_total",

@@ -36,7 +36,7 @@ func TestLiveClusterRedelivery(t *testing.T) {
 			c.post(0, msg, delay())
 		}
 	}
-	dets := c.Stop()
+	dets := closeDets(c)
 
 	roots := 0
 	for _, d := range dets {

@@ -12,19 +12,11 @@ import (
 )
 
 // BenchmarkLiveScale runs full balanced trees through the live runtime at
-// p ∈ {127, 511, 1023} in three lanes:
+// p ∈ {127, 511, 1023} in two lanes:
 //
-//	legacy   the seed delivery plane in full (Config.LegacyDelivery): one
-//	         goroutine + inbox channel per node, one sleeping goroutine per
-//	         delayed message, fed one Observe call per interval — the
-//	         pre-change baseline
-//	sharded  the rebuilt plane (mailbox shards + worker pool + timer wheel),
-//	         same per-interval feeding — isolates the delivery-plane gain
-//	batched  the rebuilt plane driven the way it is meant to be at scale:
-//	         ObserveBatch ingestion, batch-window report coalescing —
-//	         pinned to the sequential detection oracle so it keeps
-//	         measuring exactly what it measured when it was the headline
-//	         lane
+//	sharded  the delivery plane (mailbox shards + worker pool + timer wheel)
+//	         fed one Observe call per interval, per-report sends and the
+//	         sequential detection oracle
 //	parallel ObserveBatch ingestion, drain-end adaptive report coalescing
 //	         (Config.AdaptiveFlush) and the parallel detection engine with
 //	         its comparison-pruning layer: partitioned comparison rounds,
@@ -32,39 +24,36 @@ import (
 //	         slab-carved solution sets — the full current path
 //
 // Each iteration builds a cluster, feeds every process's stream at full
-// speed, and drains via Stop. Reported metrics:
+// speed, and drains via Close. Reported metrics:
 //
 //	intervals/sec   end-to-end ingestion throughput (observed locals / wall)
-//	peak-goroutines high-water goroutine count during the run — the new
-//	                plane must stay O(p); the legacy plane scales with
-//	                in-flight messages
+//	peak-goroutines high-water goroutine count during the run — the plane
+//	                must stay O(p), independent of in-flight messages
 //	detections/op   sanity: every lane must detect every round at the root
 //	worst-node-cmps/run  the busiest detector's enumerated comparisons —
 //	                the hot-spot the hierarchy is supposed to flatten
 //	cmps/interval   fleet-wide enumerated comparisons per observed interval;
 //	                the enumeration ledger is engine-independent, so the
-//	                sequential lanes' value doubles as the pre-pruning-layer
+//	                sequential lane's value doubles as the pre-pruning-layer
 //	                baseline
 //	digest-filter-rate / memo-hit-rate  the comparison-pruning layer's
 //	                share of enumerated comparisons answered by the one-word
 //	                digest guard / the cross-round verdict memo (zero on the
-//	                sequential lanes)
+//	                sequential lane)
 //	latency-p50-ms / latency-p99-ms  observe→SolutionFound latency quantiles
 //	                (ClusterMetrics.LatencyP50/P99, averaged over iterations)
-//	                — how long an interval's cascade takes to conclude, the
-//	                number the batch window and adaptive flush trade
-//	                throughput against
+//	                — how long an interval's cascade takes to conclude
 //
 // The scale lane (make bench-scale / cmd/benchjson -suite scale) records
-// these into BENCH_scale.json; the p=1023 parallel-vs-batched ratio is the
-// current acceptance headline (batched-vs-legacy was the PR 4 one).
+// these into BENCH_scale.json; make bench-compare gates on the p=1023
+// parallel lane.
 func BenchmarkLiveScale(b *testing.B) {
 	for _, h := range []int{6, 8, 9} { // 127, 511, 1023 nodes
 		topo := tree.Balanced(2, h)
 		p := topo.N()
 		rounds := 8
 		if p >= 1000 {
-			rounds = 6 // keep the legacy lane's goroutine storm affordable
+			rounds = 6 // same workload the recorded p=1023 entries ran
 		}
 		e := workload.Generate(workload.Config{Topology: topo, Rounds: rounds, Seed: 42, PGlobal: 1})
 		total := 0
@@ -72,9 +61,7 @@ func BenchmarkLiveScale(b *testing.B) {
 			total += len(s)
 		}
 		for _, mode := range []benchMode{
-			{name: "legacy", legacy: true, sequential: true},
 			{name: "sharded", sequential: true},
-			{name: "batched", batchFeed: true, window: 200 * time.Microsecond, sequential: true},
 			{name: "parallel", batchFeed: true, adaptive: true},
 		} {
 			b.Run(fmt.Sprintf("p=%d/%s", p, mode.name), func(b *testing.B) {
@@ -84,15 +71,12 @@ func BenchmarkLiveScale(b *testing.B) {
 	}
 }
 
-// benchMode selects one lane's plane and engine. The sharded/batched lanes
-// pin SequentialDetect so they keep measuring the PR 4 configuration; the
-// parallel lane is the full current path — adaptive drain-end coalescing
-// instead of the batched lane's fixed window, plus the pruning engine.
+// benchMode selects one lane's feeding, coalescing and engine. The sharded
+// lane pins SequentialDetect; the parallel lane is the full current path —
+// adaptive drain-end coalescing plus the pruning engine.
 type benchMode struct {
 	name       string
-	legacy     bool
 	batchFeed  bool
-	window     time.Duration
 	adaptive   bool
 	sequential bool
 }
@@ -109,8 +93,6 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 			Topology:         topo,
 			Seed:             int64(i + 1),
 			MaxDelay:         500 * time.Microsecond,
-			LegacyDelivery:   mode.legacy,
-			BatchWindow:      mode.window,
 			AdaptiveFlush:    mode.adaptive,
 			SequentialDetect: mode.sequential,
 		})
@@ -149,7 +131,7 @@ func benchLiveScale(b *testing.B, topo *tree.Topology, e *workload.Execution, to
 			}
 			wg.Wait()
 		}
-		dets := c.Stop()
+		dets := closeDets(c)
 		close(stop)
 		<-sampled
 		for _, d := range dets {

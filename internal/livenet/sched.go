@@ -52,12 +52,6 @@ func (mb *mailbox) init() { mb.notFull.L = &mb.mu }
 // enqueue appends msg to ln's shard and schedules the node on the run queue
 // if it was idle. external marks producer traffic subject to the bound.
 func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
-	if c.cfg.LegacyDelivery {
-		// The seed's channel send: per-message handoff to the node goroutine,
-		// backpressure from the channel capacity.
-		ln.inbox <- msg
-		return
-	}
 	mb := &ln.mb
 	mb.mu.Lock()
 	if external {
@@ -80,8 +74,9 @@ func (c *Cluster) enqueue(ln *liveNode, msg message, external bool) {
 // worker is one pool goroutine: pop a scheduled node, drain its shard once,
 // re-queue it if producers kept it non-empty. One drain per pop keeps the
 // pool fair across nodes while still handing the detector whole batches. A
-// nil pop is Stop's sentinel: the queue is never closed (late requeues must
-// stay legal), each worker instead consumes exactly one sentinel and exits.
+// nil pop is teardown's sentinel: the queue is never closed (late requeues
+// must stay legal), each worker instead consumes exactly one sentinel and
+// exits.
 func (c *Cluster) worker() {
 	defer c.wg.Done()
 	for ln := range c.runq {
@@ -113,7 +108,7 @@ func (c *Cluster) runNode(ln *liveNode) int {
 
 	// After the ledger drained and the state reached stopped, the only
 	// messages left are uncredited heartbeat ticks from the wheel's last
-	// turns; dropping them keeps post-Stop callbacks (child drops, repairs,
+	// turns; dropping them keeps post-Close events (child drops, repairs,
 	// detections) from firing into a cluster the caller believes final.
 	c.mu.Lock()
 	stopped := c.state == clusterStopped
@@ -164,8 +159,7 @@ func (c *Cluster) runNode(ln *liveNode) int {
 
 // creditedKind reports whether a message kind holds a ledger credit. Only
 // heartbeat ticks are uncredited: they are periodic background work that
-// must not keep an idle cluster from stopping (the seed runtime used a
-// per-node ticker for the same reason).
+// must not keep an idle cluster from stopping.
 func creditedKind(k msgKind) bool { return k != msgHbTick }
 
 // depths reads the shard's current depth and its high-water mark.

@@ -22,7 +22,7 @@ func goroutinesSettleTo(t *testing.T, want int) {
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines = %d, want <= %d after Stop; dump:\n%s",
+			t.Fatalf("goroutines = %d, want <= %d after Close; dump:\n%s",
 				n, want, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -32,8 +32,8 @@ func goroutinesSettleTo(t *testing.T, want int) {
 // TestStopCancelsDelayedDeliveries is the regression test for the seed's
 // sleep-goroutine leak window: with a delivery delay far longer than the
 // test, the seed design left one sleeping goroutine per in-flight message
-// alive after Stop returned. The wheel must instead drain everything before
-// Stop (credits cover delayed messages) and cancel cleanly, leaving the
+// alive after teardown returned. The wheel must instead drain everything
+// before Close returns (credits cover delayed messages) and cancel cleanly, leaving the
 // goroutine count where it started.
 func TestStopCancelsDelayedDeliveries(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -46,7 +46,7 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 		HbTimeout: time.Hour, // beats flow, suspicion never fires
 	})
 	feed(c, e, topo)
-	dets := c.Stop()
+	dets := closeDets(c)
 	roots := 0
 	for _, d := range dets {
 		if d.AtRoot {
@@ -60,7 +60,7 @@ func TestStopCancelsDelayedDeliveries(t *testing.T) {
 }
 
 // TestStopCancelsRepairTimers: armed seek timeouts are credited wheel
-// entries, so a Stop racing a repair in progress must wait the repair out
+// entries, so a Close racing a repair in progress must wait the repair out
 // and still cancel cleanly.
 func TestStopCancelsRepairTimers(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -71,7 +71,7 @@ func TestStopCancelsRepairTimers(t *testing.T) {
 	})
 	c.Kill(1) // orphans 3 and 4; each arms seek timeouts while reattaching
 	c.Drain()
-	c.Stop()
+	c.Close()
 	goroutinesSettleTo(t, base)
 }
 
@@ -107,8 +107,7 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 	c.Drain()
 	close(stop)
 	<-sampled
-	c.Stop()
-
+	c.Close()
 	// Pool + wheel + 127 feeder goroutines + the sampler + slack. The point
 	// is the order of magnitude: tens, not thousands.
 	budget := base + c.workers + 1 + topo.N() + 1 + 16
@@ -117,49 +116,11 @@ func TestSteadyStateGoroutinesBounded(t *testing.T) {
 	}
 }
 
-// TestBatchWindowMatchesUnbatched: batch-window coalescing may delay reports
-// but must not change what is detected. Verify against the unbatched run on
-// the same workload, and confirm coalescing actually happened.
-func TestBatchWindowMatchesUnbatched(t *testing.T) {
-	topo := tree.Balanced(2, 2)
-	e := workload.Generate(workload.Config{Topology: topo, Rounds: 12, Seed: 4, PGlobal: 1})
-
-	run := func(window time.Duration) (map[int]int, map[int]Metrics) {
-		c := New(Config{Topology: topo, Seed: 6, Strict: true, KeepMembers: true, BatchWindow: window})
-		feed(c, e, topo)
-		dets := c.Stop()
-		perNode := map[int]int{}
-		for _, d := range dets {
-			perNode[d.Node]++
-		}
-		return perNode, c.Metrics()
-	}
-
-	plain, _ := run(0)
-	batched, m := run(300 * time.Microsecond)
-	for node, want := range plain {
-		if batched[node] != want {
-			t.Errorf("node %d: batched %d detections, unbatched %d", node, batched[node], want)
-		}
-	}
-	flushes, out := 0, 0
-	for _, nm := range m {
-		flushes += nm.BatchFlushes
-		out += nm.MsgsOut
-	}
-	if flushes == 0 {
-		t.Fatal("BatchWindow run recorded no batch flushes")
-	}
-	if out > flushes {
-		t.Fatalf("MsgsOut = %d > BatchFlushes = %d: non-root reports bypassed the window", out, flushes)
-	}
-}
-
 // TestAdaptiveFlushMatchesUnbatched: drain-end coalescing must not change
 // what is detected — same per-node detection counts as the per-report run on
 // the same workload — while actually coalescing: every non-root report leaves
 // inside a flush (never as an individual message), and batch feeding makes
-// flushes strictly fewer than the reports they carry. The Stop at the end
+// flushes strictly fewer than the reports they carry. The Close at the end
 // also exercises the flush credit: a buffered report that did not hold a
 // ledger credit could be stranded, and the detection counts would diverge.
 func TestAdaptiveFlushMatchesUnbatched(t *testing.T) {
@@ -171,7 +132,7 @@ func TestAdaptiveFlushMatchesUnbatched(t *testing.T) {
 		for p := range e.Streams {
 			c.ObserveBatch(p, e.Streams[p])
 		}
-		dets := c.Stop()
+		dets := closeDets(c)
 		perNode := map[int]int{}
 		for _, d := range dets {
 			perNode[d.Node]++
@@ -222,7 +183,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			feed(c, e, topo)
 		}
 		perNode := map[int]int{}
-		for _, d := range c.Stop() {
+		for _, d := range closeDets(c) {
 			perNode[d.Node]++
 		}
 		return perNode
@@ -236,25 +197,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestLegacyDeliveryStillCorrect keeps the benchmark baseline honest: the
-// goroutine-per-message path must remain semantically identical to the
-// wheel, or scale comparisons against it measure a broken runtime.
-func TestLegacyDeliveryStillCorrect(t *testing.T) {
-	topo := tree.Balanced(2, 2)
-	e := workload.Generate(workload.Config{Topology: topo, Rounds: 10, Seed: 5, PGlobal: 1})
-	c := New(Config{Topology: topo, Seed: 4, Strict: true, KeepMembers: true, LegacyDelivery: true})
-	feed(c, e, topo)
-	roots := 0
-	for _, d := range c.Stop() {
-		if d.AtRoot {
-			roots++
-		}
-	}
-	if roots != 10 {
-		t.Fatalf("root detections = %d, want 10", roots)
-	}
-}
-
 // TestMailboxBackpressure: a bound of 1 forces Observe to block and hand
 // work over one message at a time; the cluster must neither deadlock nor
 // drop anything.
@@ -264,7 +206,7 @@ func TestMailboxBackpressure(t *testing.T) {
 	c := New(Config{Topology: topo, Seed: 8, Strict: true, KeepMembers: true, MailboxBound: 1})
 	feed(c, e, topo)
 	roots := 0
-	for _, d := range c.Stop() {
+	for _, d := range closeDets(c) {
 		if d.AtRoot {
 			roots++
 		}

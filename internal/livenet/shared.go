@@ -280,7 +280,7 @@ func (c *Cluster) clockArena() *vclock.Arena {
 
 // Close tears the substrate down: the wheel goroutine, then the workers,
 // then the comparison pool. Every client cluster must have stopped first —
-// Stop detaches a cluster, so by here the wheel holds no credited entries
+// Close detaches a cluster, so by here the wheel holds no credited entries
 // and the ring is empty.
 func (s *SharedScheduler) Close() {
 	s.mu.Lock()

@@ -21,7 +21,7 @@ func TestSharedSchedulerParity(t *testing.T) {
 		c := New(Config{Topology: topo, Seed: 4, Strict: true, KeepMembers: true, Scheduler: s})
 		feed(c, e, topo)
 		roots := 0
-		for _, d := range c.Stop() {
+		for _, d := range closeDets(c) {
 			if d.AtRoot {
 				roots++
 			}
@@ -66,7 +66,7 @@ func TestSharedSchedulerManyClusters(t *testing.T) {
 	}
 	for i, c := range cs {
 		roots := 0
-		for _, d := range c.Stop() {
+		for _, d := range closeDets(c) {
 			if d.AtRoot {
 				roots++
 			}
@@ -97,14 +97,13 @@ func TestSharedSchedulerStopIsolation(t *testing.T) {
 
 	e := workload.Generate(workload.Config{Topology: topo, Rounds: 4, Seed: 31, PGlobal: 1})
 	feed(victim, e, topo)
-	victim.Stop()
-
+	victim.Close()
 	// The survivor must still detect — including work fed entirely after the
 	// victim's wheel entries were cancelled out from under the shared wheel.
 	e2 := workload.Generate(workload.Config{Topology: topo, Rounds: 6, Seed: 32, PGlobal: 1})
 	feed(survivor, e2, topo)
 	roots := 0
-	for _, d := range survivor.Stop() {
+	for _, d := range closeDets(survivor) {
 		if d.AtRoot {
 			roots++
 		}
@@ -124,7 +123,7 @@ func TestSharedSchedulerFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	c := New(Config{Topology: topo, Seed: 3, Strict: true, KeepMembers: true,
 		Scheduler: s, HbEvery: 200 * time.Microsecond,
-		OnRepair: func(orphan, newParent int) { repaired <- orphan }})
+		Events: sink(nil, repaired)})
 	orphans := c.Kill(1)
 	if orphans != 2 {
 		t.Fatalf("Kill(1) orphans = %d, want 2", orphans)
@@ -138,7 +137,7 @@ func TestSharedSchedulerFailover(t *testing.T) {
 	}
 	c.Drain()
 	reps := c.Repairs()
-	c.Stop()
+	c.Close()
 	if len(reps) != 2 {
 		t.Fatalf("repairs = %d, want 2", len(reps))
 	}
@@ -147,17 +146,4 @@ func TestSharedSchedulerFailover(t *testing.T) {
 			t.Fatalf("orphan %d partitioned; want reattachment", r.Orphan)
 		}
 	}
-}
-
-// TestSharedSchedulerRejectsLegacy: the seed delivery plane cannot ride the
-// substrate — it has no mailbox shards to drain.
-func TestSharedSchedulerRejectsLegacy(t *testing.T) {
-	s := NewSharedScheduler(SharedSchedulerConfig{})
-	defer s.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scheduler+LegacyDelivery did not panic")
-		}
-	}()
-	New(Config{Topology: tree.Balanced(2, 1), Scheduler: s, LegacyDelivery: true})
 }

@@ -7,12 +7,10 @@ import (
 )
 
 // wheel is a hashed timer wheel: every delayed message, repair timeout and
-// heartbeat tick it carries is one entry in one ring driven by one goroutine.
-// The seed design slept a fresh goroutine per delayed message and armed a
-// time.AfterFunc per repair timer, so the goroutine count scaled with the
-// number of in-flight messages; the wheel caps the delivery plane at a single
-// goroutine regardless of load, which is what lets the scale benchmarks run
-// p ≥ 512 trees without drowning the scheduler.
+// heartbeat tick it carries is one entry in one ring driven by one goroutine,
+// so the delivery plane's timer work costs a single goroutine regardless of
+// load — which is what lets the scale benchmarks run p ≥ 512 trees without
+// drowning the scheduler.
 //
 // A wheel is not tied to one cluster: each entry remembers its node, and a
 // node knows its cluster, so one wheel can serve a whole tenant plane (the
@@ -31,11 +29,10 @@ import (
 //
 // Lifecycle: entries that deliver credited messages hold their ledger credit
 // from insertion (the caller takes it) until the delivery is handled, so
-// Cluster.Stop's drain covers everything the wheel still owes. stop() — or,
+// Cluster.Close's drain covers everything the wheel still owes. stop() — or,
 // for one cluster under a shared wheel, cancel(c) — runs after the drain: by
 // then only uncredited recurring entries (heartbeat ticks) remain, and they
-// are discarded without firing — the clean cancellation the seed's sleeping
-// goroutines could not offer.
+// are discarded without firing.
 type wheel struct {
 	tick time.Duration
 
@@ -153,7 +150,7 @@ func (w *wheel) releaseLocked(e *wheelEntry) {
 }
 
 // run is the wheel goroutine. It signals exit on its own done channel (not
-// any cluster's worker WaitGroup): Stop must know the wheel is fully gone
+// any cluster's worker WaitGroup): teardown must know the wheel is fully gone
 // before it sends the workers their stop sentinels, because an advancing
 // wheel pushes nodes onto the run queue.
 func (w *wheel) run() {
@@ -275,7 +272,7 @@ func (w *wheel) stop() {
 }
 
 // cancel removes every entry belonging to one cluster — the shared-wheel
-// counterpart of stop, run by Cluster.Stop after that cluster's ledger
+// counterpart of stop, run by Cluster.Close after that cluster's ledger
 // drained while other clusters' timers keep running. Credited strays return
 // their credits, same argument as drain.
 func (w *wheel) cancel(c *Cluster) {

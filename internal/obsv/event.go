@@ -99,7 +99,7 @@ func EventKinds() []EventKind {
 // events, which ride connection goroutines — interleave arbitrarily. The
 // sink is called synchronously on runtime goroutines: it must be quick,
 // safe for concurrent calls, and must not call back into the cluster's
-// lifecycle (Stop in particular).
+// lifecycle (Close in particular).
 type Event struct {
 	// Kind says what happened; the fields below it are meaningful per kind
 	// (see the kind constants).

@@ -46,7 +46,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		"full": sampleTrace(),
 		"minimal": {
 			Parents:  []int{tree.None},
-			Plane:    PlaneLegacy,
+			Plane:    PlaneParallel,
 			Workload: WorkloadSpec{Rounds: 1, Seed: 1},
 		},
 	} {

@@ -59,7 +59,7 @@ func MergeDetections(parts ...[]livenet.Detection) []livenet.Detection {
 }
 
 // sortDetections orders by (Node, Agg.Seq) — each cluster already returns
-// its detections in this order (Stop sorts), so merging participants is the
+// its detections in this order (teardown sorts), so merging participants is the
 // only case with real work to do.
 func sortDetections(dets []livenet.Detection) {
 	sort.Slice(dets, func(i, j int) bool {

@@ -175,7 +175,7 @@ func TestRecordReplayPartitionKill(t *testing.T) {
 		t.Fatal("partition kill on tree links classified nondeterministic")
 	}
 	replayOn(t, tr, PlaneSharded)
-	replayOn(t, tr, PlaneLegacy)
+	replayOn(t, tr, PlaneParallel)
 }
 
 // TestAdoptionKillClassifiedNondeterministic: killing an inner node on a
@@ -217,6 +217,28 @@ func TestAdoptionKillClassifiedNondeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSound(t, res) // soundness must hold even where parity cannot
+}
+
+// TestReplayTraceFromDeletedPlane: a trace recorded on a plane this build no
+// longer offers still decodes; replaying it on its recorded plane is a typed
+// misuse error naming Plane, and an explicit override replays it with
+// outcome parity — the outcome never depended on the plane.
+func TestReplayTraceFromDeletedPlane(t *testing.T) {
+	tr := recordQuick(t)
+	tr.Plane = "batched"
+	dec, err := DecodeTrace(AppendTrace(nil, tr))
+	if err != nil {
+		t.Fatalf("trace naming a deleted plane does not decode: %v", err)
+	}
+	if dec.Plane != "batched" {
+		t.Fatalf("decoded plane = %q, want %q", dec.Plane, "batched")
+	}
+	_, err = NewReplayer(dec, ReplayerConfig{})
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Plane" {
+		t.Fatalf("NewReplayer on the recorded plane: error = %v, want *ConfigError on Plane", err)
+	}
+	replayOn(t, dec, PlaneParallel)
 }
 
 // TestReplaySpeedPacing: a paced replay honours the recorded step offsets.

@@ -27,7 +27,6 @@ func tenantFootprint(b *testing.B, tenants int) (goroutines int, bytesPerTenant 
 		if _, err := plane.RegisterPredicate(fmt.Sprintf("fp-%03d", k), Spec{
 			Topology: tree.Balanced(2, 5),
 			Seed:     int64(k + 1),
-			Workers:  1, SequentialDetect: true,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +75,6 @@ func BenchmarkMultiTenant(b *testing.B) {
 					h, err := plane.RegisterPredicate(fmt.Sprintf("bench-%03d", k), Spec{
 						Topology: tree.Balanced(2, 5),
 						Seed:     int64(i*tenants + k + 1),
-						Workers:  1, SequentialDetect: true,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -88,8 +86,8 @@ func BenchmarkMultiTenant(b *testing.B) {
 						h.ObserveBatch(proc, e.Streams[proc])
 					}
 				}
-				for name, dets := range plane.Stop() {
-					_ = name
+				plane.Close()
+				for _, dets := range plane.Detections() {
 					for _, d := range dets {
 						if d.AtRoot {
 							roots++

@@ -84,8 +84,18 @@ func killStableBytes(dets []livenet.Detection, fullSpan, survivorSpan int) []byt
 	return buf.Bytes()
 }
 
-// mergeDets combines per-participant Stop outputs into the order a single
-// hosting cluster would have returned (livenet's Stop comparator).
+// closeDets closes a cluster or tenant handle and returns its final
+// detections.
+func closeDets(c interface {
+	Close() error
+	Detections() []livenet.Detection
+}) []livenet.Detection {
+	c.Close()
+	return c.Detections()
+}
+
+// mergeDets combines per-participant detection lists into the order a single
+// hosting cluster would have returned (livenet's Detections comparator).
 func mergeDets(parts ...[]livenet.Detection) []livenet.Detection {
 	var out []livenet.Detection
 	for _, p := range parts {
@@ -164,7 +174,16 @@ func runIsolatedPair(t *testing.T, e *workload.Execution, kill bool) []livenet.D
 			Topology: build(), Seed: spec.Seed, Strict: spec.Strict, KeepMembers: spec.KeepMembers,
 			HbEvery: spec.HbEvery, StartupGrace: spec.StartupGrace,
 			Transport: tr, LocalNodes: local,
-			OnRepair: func(orphan, newParent int) { repaired <- orphan },
+			Events: func(e obsv.Event) {
+				if e.Kind == obsv.RepairConcluded {
+					// Never block the worker: a false-suspicion storm can
+					// outrun the buffer and deadlock Close.
+					select {
+					case repaired <- e.Node:
+					default:
+					}
+				}
+			},
 		})
 	}
 	c1, c2 := mkRef(tr1, nodes1), mkRef(tr2, nodes2)
@@ -212,7 +231,7 @@ func runIsolatedPair(t *testing.T, e *workload.Execution, kill bool) []livenet.D
 		return c1.Metrics()[0].Detections >= isoPhase1+isoPhase2
 	})
 	time.Sleep(20 * time.Millisecond) // settle: surplus detections would be a bug
-	return mergeDets(c1.Stop(), c2.Stop())
+	return mergeDets(closeDets(c1), closeDets(c2))
 }
 
 // TestCrossTenantIsolation is the tenant plane's semantic contract: two
@@ -345,8 +364,8 @@ func TestCrossTenantIsolation(t *testing.T) {
 	})
 	time.Sleep(20 * time.Millisecond) // settle: surplus detections would be a bug
 
-	gotAlpha := mergeDets(alpha[0].Stop(), alpha[1].Stop())
-	gotBeta := mergeDets(beta[0].Stop(), beta[1].Stop())
+	gotAlpha := mergeDets(closeDets(alpha[0]), closeDets(alpha[1]))
+	gotBeta := mergeDets(closeDets(beta[0]), closeDets(beta[1]))
 
 	if !bytes.Equal(killStableBytes(gotAlpha, 7, 6), killStableBytes(refKilled, 7, 6)) {
 		t.Errorf("alpha (shared mesh, kill) diverged from its isolated reference:\n got %d detections\nwant %d",
@@ -388,7 +407,6 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	spec := func(seed int64) Spec {
 		return Spec{
 			Topology: build(), Seed: seed, Strict: true, KeepMembers: true,
-			Workers: 1, SequentialDetect: true,
 		}
 	}
 
@@ -403,7 +421,6 @@ func Test256TenantsSharedMesh(t *testing.T) {
 		mk := func(id int) *livenet.Cluster {
 			return livenet.New(livenet.Config{
 				Topology: build(), Seed: sp.Seed, Strict: sp.Strict, KeepMembers: sp.KeepMembers,
-				Workers: sp.Workers, SequentialDetect: sp.SequentialDetect,
 				Transport: net.Endpoint(id), LocalNodes: []int{id},
 			})
 		}
@@ -416,7 +433,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 			return c0.Metrics()[0].Detections >= rounds
 		})
 		time.Sleep(5 * time.Millisecond)
-		refs[s] = detBytes(mergeDets(c0.Stop(), c1.Stop()))
+		refs[s] = detBytes(mergeDets(closeDets(c0), closeDets(c1)))
 	}
 
 	// The shared mesh: two planes, one TCP connection pair, N tenants.
@@ -469,7 +486,7 @@ func Test256TenantsSharedMesh(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 
 	for k, h := range handles {
-		got := detBytes(mergeDets(h[0].Stop(), h[1].Stop()))
+		got := detBytes(mergeDets(closeDets(h[0]), closeDets(h[1])))
 		if !bytes.Equal(got, refs[k%seeds]) {
 			t.Fatalf("tenant %d diverged from its isolated reference (seed class %d)", k, k%seeds)
 		}

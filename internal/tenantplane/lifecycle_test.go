@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hierdet/internal/livenet"
 	"hierdet/internal/obsv"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
@@ -20,7 +19,6 @@ func registerAndFeed(t *testing.T, p *Multiplexer, name string, seed int64) int 
 	topo := tree.Balanced(2, 2)
 	h, err := p.RegisterPredicate(name, Spec{
 		Topology: tree.Balanced(2, 2), Seed: seed,
-		Workers: 1, SequentialDetect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,41 +30,37 @@ func registerAndFeed(t *testing.T, p *Multiplexer, name string, seed int64) int 
 	return rounds
 }
 
-// TestMultiplexerCloseEqualsStop: Close+Detections is the same teardown as
-// the deprecated Stop, and both are idempotent in their documented ways.
-func TestMultiplexerCloseEqualsStop(t *testing.T) {
-	viaStop := func() map[string][]livenet.Detection {
-		p, err := NewMultiplexer(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerAndFeed(t, p, "alpha", 5)
-		out := p.Stop()
-		if second := p.Stop(); second != nil {
-			t.Fatalf("second Stop returned %d tenants, want nil", len(second))
-		}
-		return out
-	}()
-
+// TestMultiplexerCloseIdempotent: Close stops every tenant and publishes
+// their detections; a second Close is a no-op returning nil, and
+// Detections keeps serving the same result.
+func TestMultiplexerCloseIdempotent(t *testing.T) {
 	p, err := NewMultiplexer(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerAndFeed(t, p, "alpha", 5)
+	rounds := registerAndFeed(t, p, "alpha", 5)
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	first := p.Detections()
+	roots := 0
+	for _, d := range first["alpha"] {
+		if d.AtRoot {
+			roots++
+		}
+	}
+	if roots != rounds {
+		t.Fatalf("root detections = %d, want %d", roots, rounds)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	viaClose := p.Detections()
-	if len(viaClose) != len(viaStop) {
-		t.Fatalf("tenant count: Close %d, Stop %d", len(viaClose), len(viaStop))
+	if got := p.Detections(); len(got) != 1 || len(got["alpha"]) != len(first["alpha"]) {
+		t.Fatalf("Detections after second Close = %d tenants, alpha %d; want 1, %d",
+			len(got), len(got["alpha"]), len(first["alpha"]))
 	}
-	for name, dets := range viaStop {
-		if got := len(viaClose[name]); got != len(dets) {
-			t.Fatalf("tenant %s: Close saw %d detections, Stop saw %d", name, got, len(dets))
-		}
+	if p.Tenant("alpha") != nil {
+		t.Fatal("tenant still registered after Close")
 	}
 }
 
@@ -103,11 +97,13 @@ func TestMultiplexerShutdownDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tenant with a long batch window parks report credits on flush
-	// timers, guaranteeing the bounded Shutdown cannot quiesce in time.
+	// A tenant with a long MaxDelay parks its reports on the shared wheel,
+	// each holding its ledger credit until delivery, so the bounded
+	// Shutdown cannot quiesce in time. The delays come from the seeded
+	// per-node generator: with this seed the first report waits well over
+	// 100ms.
 	h, err := p.RegisterPredicate("gamma", Spec{
-		Topology: tree.Chain(2), Seed: 3,
-		Workers: 1, SequentialDetect: true, BatchWindow: 300 * time.Millisecond,
+		Topology: tree.Chain(2), Seed: 3, MaxDelay: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

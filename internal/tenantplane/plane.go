@@ -35,16 +35,13 @@ type Config struct {
 	// Workers sizes the plane's shared worker pool: one pool drains every
 	// tenant's mailbox shards, with deficit-round-robin fairness across
 	// tenants, so the plane's steady-state goroutine count is independent of
-	// the tenant count. Zero means GOMAXPROCS. The deprecated per-tenant
-	// Spec.Workers is ignored on a plane (see Spec.Workers).
+	// the tenant count. Zero means GOMAXPROCS.
 	Workers int
-	// MailboxBound is the plane-wide default per-node mailbox bound applied
-	// to each tenant's external producers. A tenant's Spec.MailboxBound
-	// overrides it; zero for both inherits livenet's default (4096).
+	// MailboxBound is the per-node mailbox bound applied to every tenant's
+	// external producers. Zero inherits livenet's default (4096).
 	MailboxBound int
 	// DetectWorkers sizes the plane's shared comparison pool backing every
-	// tenant's parallel detection engine. Zero means GOMAXPROCS. The
-	// deprecated per-tenant Spec.DetectWorkers is ignored on a plane.
+	// tenant's parallel detection engine. Zero means GOMAXPROCS.
 	DetectWorkers int
 	// SchedulerQuantum is the deficit-round-robin quantum in messages: how
 	// many messages one tenant may drain before the shared pool rotates to
@@ -69,7 +66,9 @@ type Config struct {
 
 // Spec describes one tenant's predicate: its spanning tree plus the
 // per-cluster runtime knobs the tenant wants. Zero values inherit livenet's
-// defaults, so Spec{Topology: topo} is a complete registration.
+// defaults, so Spec{Topology: topo} is a complete registration. Pool sizes
+// and the mailbox bound are plane-wide (Config): every tenant's shards are
+// drained by the plane's one shared pool.
 type Spec struct {
 	// Topology is the tenant's detection tree (required).
 	Topology *tree.Topology
@@ -77,24 +76,10 @@ type Spec struct {
 	Seed int64
 	// Strict and KeepMembers configure the detector nodes (see core.Config).
 	Strict, KeepMembers bool
-	// MaxDelay, BatchWindow, AdaptiveFlush and SequentialDetect tune the
-	// tenant cluster's delivery and detection planes (see livenet.Config).
+	// MaxDelay and AdaptiveFlush tune the tenant cluster's delivery plane
+	// (see livenet.Config). RegisterPredicate rejects a negative MaxDelay.
 	MaxDelay      time.Duration
-	BatchWindow   time.Duration
 	AdaptiveFlush bool
-	// Workers and DetectWorkers are deprecated on a plane: every tenant's
-	// shards are drained by the plane's one shared pool (Config.Workers) and
-	// its one comparison pool (Config.DetectWorkers), so these per-tenant
-	// values are ignored here. They remain honored by standalone
-	// livenet.Clusters, which keep private pools. Precedence for sizing:
-	// plane Config over Spec, always.
-	Workers int
-	// MailboxBound caps this tenant's per-node mailbox shards for external
-	// producers. Precedence: Spec.MailboxBound (nonzero) over
-	// Config.MailboxBound (nonzero) over livenet's default (4096).
-	MailboxBound     int
-	SequentialDetect bool
-	DetectWorkers    int
 	// HbEvery, HbTimeout, SeekTimeout, ResendLastOnAdopt and StartupGrace
 	// configure the tenant's failure handling (see livenet.Config).
 	HbEvery, HbTimeout, SeekTimeout time.Duration
@@ -119,7 +104,6 @@ type Handle struct {
 
 	stopMu  sync.Mutex
 	stopped bool
-	dets    []livenet.Detection
 }
 
 // Name returns the tenant id the predicate was registered under.
@@ -149,26 +133,11 @@ func (h *Handle) Observe(p int, iv interval.Interval) { h.c.Observe(p, iv) }
 // cluster.
 func (h *Handle) ObserveBatch(p int, ivs []interval.Interval) { h.c.ObserveBatch(p, ivs) }
 
-// Stop unregisters the tenant — stops its cluster, frees its wire id and
-// emits TenantEvicted — and returns the tenant's detections. Idempotent.
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (h *Handle) Stop() []livenet.Detection {
-	h.stopMu.Lock()
-	defer h.stopMu.Unlock()
-	if !h.stopped {
-		h.dets = h.c.Stop()
-		h.stopped = true
-		h.p.forget(h)
-	}
-	return h.dets
-}
-
-// Close is Stop through the io.Closer convention: unregister the tenant,
-// keep its detections readable through Detections. Idempotent, never fails.
+// Close unregisters the tenant — closes its cluster, frees its wire id and
+// emits TenantEvicted — and keeps its detections readable through
+// Detections. Idempotent, never fails.
 func (h *Handle) Close() error {
-	h.Stop()
-	return nil
+	return h.Shutdown(context.Background())
 }
 
 // Shutdown is Close with a deadline: the tenant's cluster quiesces only as
@@ -184,21 +153,20 @@ func (h *Handle) Shutdown(ctx context.Context) error {
 	if err := h.c.Shutdown(ctx); err != nil {
 		return err
 	}
-	h.dets = h.c.Detections()
 	h.stopped = true
 	h.p.forget(h)
 	return nil
 }
 
 // Detections returns the tenant's final detection list once it has stopped
-// (via Stop, Close or a successful Shutdown); nil before.
+// (via Close or a successful Shutdown); nil before.
 func (h *Handle) Detections() []livenet.Detection {
 	h.stopMu.Lock()
 	defer h.stopMu.Unlock()
 	if !h.stopped {
 		return nil
 	}
-	return h.dets
+	return h.c.Detections()
 }
 
 // Multiplexer is the per-process face of the tenant plane: one shared
@@ -351,6 +319,9 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 	if spec.Topology == nil {
 		return nil, fmt.Errorf("tenantplane: tenant %q: Spec.Topology is required", tenantID)
 	}
+	if spec.MaxDelay < 0 {
+		return nil, fmt.Errorf("tenantplane: tenant %q: Spec.MaxDelay must not be negative", tenantID)
+	}
 	wid := spec.Wire
 	if wid == 0 {
 		wid = WireID(tenantID)
@@ -393,24 +364,14 @@ func (p *Multiplexer) RegisterPredicate(tenantID string, spec Spec) (*Handle, er
 		}
 		p.emit(e)
 	}
-	// The per-tenant mailbox bound is the one delivery knob that stays per
-	// cluster on the shared substrate: Spec over plane Config over livenet's
-	// default. Spec.Workers and Spec.DetectWorkers are deliberately not
-	// forwarded — the plane's pools are sized once, at plane construction.
-	bound := spec.MailboxBound
-	if bound == 0 {
-		bound = p.cfg.MailboxBound
-	}
 	h.c = livenet.New(livenet.Config{
 		Topology:          spec.Topology,
 		MaxDelay:          spec.MaxDelay,
 		Seed:              spec.Seed,
 		Strict:            spec.Strict,
 		KeepMembers:       spec.KeepMembers,
-		MailboxBound:      bound,
-		BatchWindow:       spec.BatchWindow,
+		MailboxBound:      p.cfg.MailboxBound,
 		AdaptiveFlush:     spec.AdaptiveFlush,
-		SequentialDetect:  spec.SequentialDetect,
 		Scheduler:         p.sched,
 		HbEvery:           spec.HbEvery,
 		HbTimeout:         spec.HbTimeout,
@@ -477,32 +438,12 @@ func (p *Multiplexer) forget(h *Handle) {
 	}
 }
 
-// Stop stops every remaining tenant, the monitor and the shared transport,
-// returning each stopped tenant's detections keyed by tenant id. A second
-// call returns nil (the historical contract of the method this aliases,
-// which was named Close before the lifecycle API unified).
-//
-// Deprecated: use Close or Shutdown, then Detections.
-func (p *Multiplexer) Stop() map[string][]livenet.Detection {
-	handles, already := p.beginClose()
-	if already {
-		return nil
-	}
-	out := make(map[string][]livenet.Detection, len(handles))
-	for _, h := range handles {
-		out[h.name] = h.Stop()
-	}
-	p.teardown(out)
-	return out
-}
-
 // Close stops every remaining tenant, the monitor and the shared transport.
 // Detections stay readable through Detections. Idempotent, never fails; the
 // error return matches the package family's lifecycle signature (see
 // livenet.Cluster.Close).
 func (p *Multiplexer) Close() error {
-	p.Stop()
-	return nil
+	return p.Shutdown(context.Background())
 }
 
 // Shutdown is Close with a deadline shared across the whole plane: each
@@ -510,7 +451,7 @@ func (p *Multiplexer) Close() error {
 // success the plane is fully down and Shutdown returns nil. If ctx expires
 // mid-plane, Shutdown returns ctx.Err() and REOPENS the plane: tenants
 // already stopped stay stopped (and unregistered), the rest keep running,
-// and registration and a later Close/Shutdown/Stop remain legal.
+// and registration and a later Close or Shutdown remain legal.
 func (p *Multiplexer) Shutdown(ctx context.Context) error {
 	handles, already := p.beginClose()
 	if already {
@@ -531,7 +472,7 @@ func (p *Multiplexer) Shutdown(ctx context.Context) error {
 }
 
 // Detections returns every tenant's final detections, keyed by tenant id,
-// once the plane has closed (via Stop, Close or a successful Shutdown); nil
+// once the plane has closed (via Close or a successful Shutdown); nil
 // before.
 func (p *Multiplexer) Detections() map[string][]livenet.Detection {
 	p.mu.Lock()

@@ -1,7 +1,6 @@
 package hierdet
 
 import (
-	"strings"
 	"time"
 
 	"hierdet/internal/livenet"
@@ -39,36 +38,27 @@ type LiveMetrics = livenet.Metrics
 type LiveRepair = livenet.RepairEvent
 
 // LiveDeliveryOptions tunes the cluster's delivery plane: the simulated
-// network delay, the worker pool and mailbox shards, and report batching.
+// network delay, the worker pool and mailbox shards, report coalescing and
+// the detection engine's worker set.
 type LiveDeliveryOptions struct {
-	// MaxDelay bounds each report's random delivery delay (default 200µs).
+	// MaxDelay bounds each report's random delivery delay (default 200µs;
+	// NewLiveCluster panics on a negative value).
 	MaxDelay time.Duration
 	// Workers sizes the pool draining the per-process mailboxes (default
 	// GOMAXPROCS); MailboxBound caps each mailbox for Observe/ObserveBatch
 	// callers, which block at the bound (default 4096).
 	Workers      int
 	MailboxBound int
-	// BatchWindow coalesces each node's child→parent reports into one
-	// message (one wire frame in distributed mode) per window, trading up to
-	// one window of detection latency for per-message overhead. Zero sends
-	// every report immediately.
-	BatchWindow time.Duration
-	// AdaptiveFlush coalesces reports per worker drain instead of per fixed
-	// window: whatever a node emits while handling one mailbox batch leaves
-	// as one message at the end of that drain, so coalescing follows the
-	// actual burst size with zero added latency. Mutually exclusive with
-	// BatchWindow.
+	// AdaptiveFlush coalesces each node's child→parent reports per worker
+	// drain: whatever a node emits while handling one mailbox batch leaves
+	// as one message (one wire frame in distributed mode) at the end of
+	// that drain, so coalescing follows the actual burst size with zero
+	// added latency. Off (the default) sends every report immediately.
 	AdaptiveFlush bool
-	// SequentialDetect restores the single-threaded in-node detection
-	// engine (the paper's Algorithm 1 loop exactly as it ran before the
-	// parallel engine) — the property-test oracle and benchmark baseline.
-	// Leave it off to get the partitioned engine: comparison rounds fan out
-	// across a shared worker set and aggregates are published from a flat
-	// vector-clock store, with byte-identical detections.
-	SequentialDetect bool
-	// DetectWorkers sizes the comparison worker set the parallel detection
-	// engine shares across all nodes (default GOMAXPROCS). Ignored under
-	// SequentialDetect.
+	// DetectWorkers sizes the comparison worker set the detection engine
+	// shares across all nodes (default GOMAXPROCS): comparison rounds fan
+	// out across it and aggregates are published from a flat vector-clock
+	// store.
 	DetectWorkers int
 }
 
@@ -97,7 +87,7 @@ type LiveDistributedOptions struct {
 	// Transport switches the cluster into distributed mode: it hosts only
 	// LocalNodes, and traffic to every other tree node is wire-encoded and
 	// shipped through the transport (NewTCPTransport for real sockets). The
-	// cluster starts the transport and closes it in Stop.
+	// cluster starts the transport and closes it in Close.
 	Transport Transport
 	// LocalNodes is the subset of tree nodes this participant hosts
 	// (distributed mode only). Typically one node per OS process.
@@ -109,11 +99,7 @@ type LiveDistributedOptions struct {
 }
 
 // LiveConfig parameterizes NewLiveCluster. Tuning lives in the three option
-// groups — Delivery, Failure and Distributed. The flat fields mirroring them
-// are deprecated aliases kept only so old code still compiles: setting any of
-// them is rejected (Validate returns a *FlatConfigError naming the
-// stragglers, and NewLiveCluster panics with it) rather than silently folded,
-// so a migrated deployment cannot carry tuning that no longer does anything.
+// groups — Delivery, Failure and Distributed.
 type LiveConfig struct {
 	// Topology is the spanning tree (required).
 	Topology *Topology
@@ -122,7 +108,7 @@ type LiveConfig struct {
 	// Verify enables order checking and solution-set retention.
 	Verify bool
 
-	// Delivery tunes the delivery plane (delay, worker pool, batching).
+	// Delivery tunes the delivery plane (delay, worker pool, coalescing).
 	Delivery LiveDeliveryOptions
 	// Failure enables and tunes §III-F failure handling.
 	Failure LiveFailureOptions
@@ -133,102 +119,18 @@ type LiveConfig struct {
 	// Events, if set, receives the cluster's full lifecycle stream — every
 	// interval observed, report sent and received, solution found, interval
 	// pruned, node suspected, repair concluded and transport redial — as one
-	// ordered sink (per-node causal order; see EventKind). It subsumes
-	// OnDetect and OnRepair: a SolutionFound event carries everything a
-	// LiveDetection does, a RepairConcluded everything an OnRepair call does.
-	// The sink runs on cluster goroutines: it must be quick, safe for
-	// concurrent calls, and must not call Stop.
+	// ordered sink (per-node causal order; see EventKind). A SolutionFound
+	// event carries everything a LiveDetection does, and a RepairConcluded
+	// event names the orphan (Node) and its new parent (Peer, NoParent for a
+	// partition root). The sink runs on cluster goroutines: it must be
+	// quick, safe for concurrent calls, and must not call Close.
 	Events func(Event)
-
-	// OnRepair is called after each orphan finishes repair — adopted by
-	// newParent, or NoParent if it declared itself a partition root. Called
-	// outside cluster locks.
-	//
-	// Deprecated: consume RepairConcluded events from Events instead.
-	OnRepair func(orphan, newParent int)
-	// OnDetect streams each detection as it is recorded — the live
-	// complement of Stop's batch return. It runs on node goroutines, so it
-	// must be quick and must not call Stop.
-	//
-	// Deprecated: consume SolutionFound events from Events instead.
-	OnDetect func(LiveDetection)
-
-	// Deprecated: use Delivery.MaxDelay. Setting this is rejected.
-	MaxDelay time.Duration
-	// Deprecated: use Delivery.Workers. Setting this is rejected.
-	Workers int
-	// Deprecated: use Delivery.MailboxBound. Setting this is rejected.
-	MailboxBound int
-	// Deprecated: use Delivery.BatchWindow. Setting this is rejected.
-	BatchWindow time.Duration
-	// Deprecated: use Failure.HbEvery. Setting this is rejected.
-	HbEvery time.Duration
-	// Deprecated: use Failure.HbTimeout. Setting this is rejected.
-	HbTimeout time.Duration
-	// Deprecated: use Failure.SeekTimeout. Setting this is rejected.
-	SeekTimeout time.Duration
-	// Deprecated: use Failure.ResendLastOnAdopt. Setting this is rejected.
-	ResendLastOnAdopt bool
-	// Deprecated: use Distributed.Transport. Setting this is rejected.
-	Transport Transport
-	// Deprecated: use Distributed.LocalNodes. Setting this is rejected.
-	LocalNodes []int
-	// Deprecated: use Distributed.StartupGrace. Setting this is rejected.
-	StartupGrace time.Duration
-}
-
-// FlatConfigError reports deprecated flat LiveConfig alias fields that were
-// set. The grouped options (Delivery, Failure, Distributed) are the only
-// configuration path; a flat value would be silently ignored, and a cluster
-// running without the tuning its config spells out is worse than a loud
-// constructor failure.
-type FlatConfigError struct {
-	// Fields names the offending LiveConfig fields, in declaration order.
-	Fields []string
-}
-
-func (e *FlatConfigError) Error() string {
-	return "hierdet: deprecated flat LiveConfig field(s) set: " +
-		strings.Join(e.Fields, ", ") +
-		" — move the value(s) into the Delivery/Failure/Distributed groups"
-}
-
-// Validate checks a LiveConfig for the deprecated flat alias fields,
-// returning a *FlatConfigError naming every one that is set, or nil for a
-// clean grouped configuration. NewLiveCluster panics with exactly this
-// error, so callers migrating old configs can check ahead of construction.
-func (cfg LiveConfig) Validate() error {
-	var bad []string
-	flag := func(set bool, name string) {
-		if set {
-			bad = append(bad, name)
-		}
-	}
-	flag(cfg.MaxDelay != 0, "MaxDelay")
-	flag(cfg.Workers != 0, "Workers")
-	flag(cfg.MailboxBound != 0, "MailboxBound")
-	flag(cfg.BatchWindow != 0, "BatchWindow")
-	flag(cfg.HbEvery != 0, "HbEvery")
-	flag(cfg.HbTimeout != 0, "HbTimeout")
-	flag(cfg.SeekTimeout != 0, "SeekTimeout")
-	flag(cfg.ResendLastOnAdopt, "ResendLastOnAdopt")
-	flag(cfg.Transport != nil, "Transport")
-	flag(cfg.LocalNodes != nil, "LocalNodes")
-	flag(cfg.StartupGrace != 0, "StartupGrace")
-	if bad != nil {
-		return &FlatConfigError{Fields: bad}
-	}
-	return nil
 }
 
 // NewLiveCluster builds and starts a live cluster. Feed completed local
-// intervals with Observe (safe from one goroutine per process) and call Stop
-// to drain and collect the detections. It panics with a *FlatConfigError if
-// any deprecated flat alias field is set (see Validate).
+// intervals with Observe (safe from one goroutine per process), then Close
+// to drain and read the detections with Detections.
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	return livenet.New(livenet.Config{
 		Topology:          cfg.Topology,
 		MaxDelay:          cfg.Delivery.MaxDelay,
@@ -237,17 +139,13 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		KeepMembers:       cfg.Verify,
 		Workers:           cfg.Delivery.Workers,
 		MailboxBound:      cfg.Delivery.MailboxBound,
-		BatchWindow:       cfg.Delivery.BatchWindow,
 		AdaptiveFlush:     cfg.Delivery.AdaptiveFlush,
-		SequentialDetect:  cfg.Delivery.SequentialDetect,
 		DetectWorkers:     cfg.Delivery.DetectWorkers,
 		HbEvery:           cfg.Failure.HbEvery,
 		HbTimeout:         cfg.Failure.HbTimeout,
 		SeekTimeout:       cfg.Failure.SeekTimeout,
 		ResendLastOnAdopt: cfg.Failure.ResendLastOnAdopt,
 		Events:            cfg.Events,
-		OnRepair:          cfg.OnRepair,
-		OnDetect:          cfg.OnDetect,
 		Transport:         cfg.Distributed.Transport,
 		LocalNodes:        cfg.Distributed.LocalNodes,
 		StartupGrace:      cfg.Distributed.StartupGrace,

@@ -1,69 +1,10 @@
 package hierdet
 
 import (
-	"errors"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestLiveConfigRejectsFlatAliases pins satellite behaviour of the grouped
-// LiveConfig: the deprecated flat alias fields are no longer folded into the
-// groups — Validate names every straggler in a typed *FlatConfigError, and a
-// clean grouped configuration passes.
-func TestLiveConfigRejectsFlatAliases(t *testing.T) {
-	err := LiveConfig{
-		MaxDelay:          time.Millisecond,
-		Workers:           3,
-		ResendLastOnAdopt: true,
-		LocalNodes:        []int{1, 2},
-	}.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted flat alias fields")
-	}
-	var fce *FlatConfigError
-	if !errors.As(err, &fce) {
-		t.Fatalf("Validate error is %T, want *FlatConfigError", err)
-	}
-	if got, want := fce.Fields, []string{"MaxDelay", "Workers", "ResendLastOnAdopt", "LocalNodes"}; !slices.Equal(got, want) {
-		t.Fatalf("FlatConfigError.Fields = %v, want %v", got, want)
-	}
-	for _, f := range fce.Fields {
-		if !strings.Contains(err.Error(), f) {
-			t.Errorf("error text does not name %s: %q", f, err)
-		}
-	}
-
-	grouped := LiveConfig{
-		Delivery: LiveDeliveryOptions{MaxDelay: time.Millisecond, Workers: 3},
-		Failure:  LiveFailureOptions{HbEvery: time.Millisecond, ResendLastOnAdopt: true},
-		Distributed: LiveDistributedOptions{
-			LocalNodes: []int{1, 2}, StartupGrace: time.Minute,
-		},
-	}
-	if err := grouped.Validate(); err != nil {
-		t.Fatalf("grouped-only config rejected: %v", err)
-	}
-}
-
-// TestNewLiveClusterPanicsOnFlatAliases: the constructor refuses to build a
-// cluster whose config carries values it would have to ignore.
-func TestNewLiveClusterPanicsOnFlatAliases(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("NewLiveCluster accepted a flat alias field")
-		}
-		if _, ok := r.(*FlatConfigError); !ok {
-			t.Fatalf("panic value is %T, want *FlatConfigError", r)
-		}
-	}()
-	NewLiveCluster(LiveConfig{
-		Topology: BalancedTree(2, 2),
-		HbEvery:  time.Millisecond, // deprecated spelling of Failure.HbEvery
-	})
-}
 
 // TestDistributedExpositionIncludesTransport runs a two-participant TCP
 // deployment and checks each participant's registry carries the transport
@@ -134,6 +75,6 @@ func TestDistributedExpositionIncludesTransport(t *testing.T) {
 	}
 
 	for id := 1; id >= 0; id-- {
-		clusters[id].Stop()
+		clusters[id].Close()
 	}
 }

@@ -44,12 +44,10 @@ const (
 // Event, plus its offset from session start).
 type TraceEvent = replay.EventRec
 
-// Delivery plane names for recording and replay — the same four lanes the
+// Delivery plane names for recording and replay — the same two lanes the
 // scale benchmarks run.
 const (
-	PlaneLegacy   = replay.PlaneLegacy
 	PlaneSharded  = replay.PlaneSharded
-	PlaneBatched  = replay.PlaneBatched
 	PlaneParallel = replay.PlaneParallel
 )
 

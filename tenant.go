@@ -31,7 +31,8 @@ type TenantConfig = tenantplane.Config
 type TenantSpec = tenantplane.Spec
 
 // TenantHandle is one registered tenant: feed it intervals with Observe,
-// inspect its cluster, and Stop it to unregister and collect detections.
+// inspect its cluster, and Close it to unregister, then read its
+// detections with Detections.
 type TenantHandle = tenantplane.Handle
 
 // LeaseTable is a monitor fleet's shared ownership state: TTL'd liveness
