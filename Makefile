@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare perfbench-check fuzz figures alpha examples smoke smoke-metrics soak fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare perfbench-check fuzz figures figures-check alpha examples smoke smoke-metrics soak fmt vet lint clean
 
 all: build vet test
 
@@ -66,6 +66,11 @@ fuzz:
 # Regenerate the paper's evaluation artifacts.
 figures:
 	$(GO) run ./cmd/figures
+
+# cmd/figures is deterministic: fail when its output drifts from the
+# recorded docs/figures_output.txt (refresh with make figures > docs/...).
+figures-check:
+	$(GO) run ./cmd/figures | diff -u docs/figures_output.txt -
 
 alpha:
 	$(GO) run ./cmd/alpha

@@ -13,7 +13,7 @@ import (
 // loop as detect/eliminate/prune, restructured so the O(n)-per-comparison
 // work — the only part that grows with system size — partitions across a
 // bounded worker Pool, and so the aggregates it publishes live in a flat
-// struct-of-arrays vclock.Store instead of per-detection clones.
+// struct-of-arrays arena (Arena) instead of per-detection clones.
 //
 // Equivalence with the sequential engine is structural, not approximate, and
 // the sequential path is kept verbatim as the property-test oracle (Config
@@ -97,7 +97,7 @@ func (nd *Node) detectPar(trigger []int) []Detection {
 			nd.scratchA = updated[:0]
 			return dets
 		}
-		agg := interval.AggregateFlat(nd.store, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
+		agg := interval.AggregateFlat(nd.arena.clocks, sol, nd.id, nd.aggSeq, nd.cfg.KeepMembers)
 		nd.aggSeq++
 		nd.stats.Detections++
 		dets = append(dets, Detection{Node: nd.id, Set: sol, Agg: agg})
@@ -290,10 +290,8 @@ func (nd *Node) compareAll(pairs []cmpTask, verdicts []cmpVerdict, eval int) {
 	}
 }
 
-// solutionPar is solution with the set carved from a slab instead of a fresh
-// allocation: solution sets escape into Detections, and at production rates
-// one make per detection was measurable. A slab chunk is retained only as
-// long as some detection carved from it.
+// solutionPar is solution with the set carved from the node's publication
+// arena instead of a fresh allocation.
 func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	if len(nd.srcs) == 0 {
 		return nil, false
@@ -303,26 +301,7 @@ func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 			return nil, false
 		}
 	}
-	need := len(nd.srcs)
-	if len(nd.solSlab)+need > cap(nd.solSlab) {
-		// Slab chunks double from a few sets up to solSlabChunk: most nodes
-		// publish few detections, so a fixed large chunk would strand memory
-		// per node at scale.
-		c := 2 * cap(nd.solSlab)
-		if c < 2*need {
-			c = 2 * need
-		}
-		if c > solSlabChunk && c > need {
-			c = solSlabChunk
-			if c < need {
-				c = need
-			}
-		}
-		nd.solSlab = make([]interval.Interval, 0, c)
-	}
-	base := len(nd.solSlab)
-	nd.solSlab = nd.solSlab[:base+need]
-	sol := nd.solSlab[base : base+need : base+need]
+	sol := nd.arena.carveSet(len(nd.srcs))
 	for i, s := range nd.srcs {
 		sol[i] = *nd.queues[s].HeadRef()
 	}
@@ -331,10 +310,6 @@ func (nd *Node) solutionPar() ([]interval.Interval, bool) {
 	}
 	return sol, true
 }
-
-// solSlabChunk sizes the solution-set slab (in intervals). Sets are d+1
-// intervals, so one chunk serves tens of detections at typical fanouts.
-const solSlabChunk = 256
 
 // prunePar is prune with the per-head keep decisions evaluated concurrently.
 // Each head's decision reads only queue heads (and Eq. 9 successor peeks) and

@@ -119,10 +119,10 @@ type Config struct {
 
 	// Parallel switches the node to the partitioned detection engine: the
 	// same Algorithm 1 loop, with comparison rounds snapshotted and fanned
-	// out across Pool, aggregates published from a flat vclock.Store, and
-	// solution sets carved from a slab. Detections and Stats are
-	// byte-identical to the sequential engine (property-tested); the
-	// sequential path remains available as the oracle when Parallel is off.
+	// out across Pool, and aggregate bounds and solution sets carved from a
+	// publication Arena. Detections and Stats are byte-identical to the
+	// sequential engine (property-tested); the sequential path remains
+	// available as the oracle when Parallel is off.
 	Parallel bool
 
 	// Pool is the shared comparison worker set for the parallel engine. A
@@ -131,11 +131,12 @@ type Config struct {
 	// unless Parallel is set.
 	Pool *Pool
 
-	// Clocks, when set, is a shared chunk arena the node's flat vclock
-	// store carves from — many nodes (across many clusters, in the tenant
-	// plane) bump-allocate out of common slabs instead of each stranding
-	// its own chunk tails. Ignored unless Parallel is set.
-	Clocks *vclock.Arena
+	// Arena is the publication arena the parallel engine carves aggregate
+	// bounds and solution sets from. A live cluster passes one Arena to all
+	// of its nodes, so they share slabs instead of each stranding its own
+	// slab tails; nil gives the node a private one. Ignored unless Parallel
+	// is set.
+	Arena *Arena
 
 	// FanoutThreshold overrides the minimum number of clock components a
 	// comparison round must carry before it fans out to Pool. Zero — the
@@ -186,14 +187,13 @@ type Node struct {
 	resident, residentHigh int
 
 	// Parallel-engine state (nil/empty under the sequential oracle): the
-	// flat bounds store, the pair/verdict/gen scratch of eliminatePar and
-	// prunePar, and the solution-set slab.
-	store          *vclock.Store
+	// publication arena and the pair/verdict/gen scratch of eliminatePar
+	// and prunePar.
+	arena          *Arena
 	pairScratch    []cmpTask
 	verdictScratch []cmpVerdict
 	genScratch     []uint64
 	keepScratch    []pruneVerdict
-	solSlab        []interval.Interval
 
 	// Comparison-pruning state (parallel engine only, memo.go): source →
 	// position in srcs, the (position², head-generation keyed) elimination
@@ -223,7 +223,10 @@ func NewNode(id int, cfg Config, local bool) *Node {
 		lastHi: make(map[int]interval.Interval),
 	}
 	if cfg.Parallel {
-		nd.store = vclock.NewStoreIn(cfg.N, cfg.Clocks)
+		nd.arena = cfg.Arena
+		if nd.arena == nil {
+			nd.arena = NewArena(nil)
+		}
 	}
 	if local {
 		nd.addSource(id)

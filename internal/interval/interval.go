@@ -198,9 +198,10 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 }
 
 // AggregateFlat computes ⊓xs as a freshly published aggregate whose bounds
-// live in a flat vclock.Store — the parallel engine's replacement for the
-// AggregateInto-then-CompactClone pair. Two layout decisions make it cheap
-// while producing component-for-component the same values as Aggregate:
+// are carved from a flat vclock.Arena — the parallel engine's replacement for
+// the AggregateInto-then-CompactClone pair. Two layout decisions make it
+// cheap while producing component-for-component the same values as
+// Aggregate:
 //
 //   - A singleton solution set aggregates to itself (⊓{x} = x), so instead of
 //     cloning 2n clock components the result aliases x's bounds and span
@@ -208,16 +209,17 @@ func AggregateInto(dst *Interval, xs []Interval, origin, seq int, keepMembers bo
 //     sharing safe; leaf nodes — half the tree — detect only singletons, so
 //     their entire aggregation cost disappears.
 //
-//   - A multi-member set merges directly into an arena-carved Lo/Hi pair via
-//     the fused bounds kernels (vclock.BoundsInit/BoundsFold, vectorized on
-//     amd64): the first two members seed the pair in one pass with no
-//     intermediate copy, each further member folds in with one more pass,
-//     and the aggregate is born compact — no scratch interval, no second
-//     copy, one heap allocation per Store chunk instead of one per
-//     detection.
+//   - A multi-member set merges directly into one exact-fit Lo/Hi pair carved
+//     from the arena, via the fused bounds kernels (vclock.BoundsInit/
+//     BoundsFold, vectorized on amd64): the first two members seed the pair
+//     in one pass with no intermediate copy, each further member folds in
+//     with one more pass, and the aggregate is born compact — no scratch
+//     interval, no second copy, one heap allocation per arena slab instead of
+//     one per detection.
 //
-// The caller owns st and must be the only goroutine allocating from it.
-func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers bool) Interval {
+// The arena may be shared with other goroutines; the carved pair is the
+// caller's alone.
+func AggregateFlat(a *vclock.Arena, xs []Interval, origin, seq int, keepMembers bool) Interval {
 	if len(xs) == 0 {
 		panic("interval: Aggregate of empty set")
 	}
@@ -232,7 +234,7 @@ func AggregateFlat(st *vclock.Store, xs []Interval, origin, seq int, keepMembers
 		out.Bases = x.Bases
 		return out
 	}
-	lo, hi := st.AllocPair()
+	lo, hi := a.AllocPair(len(xs[0].Lo))
 	vclock.BoundsInit(lo, hi, xs[0].Lo, xs[0].Hi, xs[1].Lo, xs[1].Hi)
 	for i := 2; i < len(xs); i++ {
 		vclock.BoundsFold(lo, hi, xs[i].Lo, xs[i].Hi)

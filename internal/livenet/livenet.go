@@ -48,8 +48,9 @@
 // mode has no shared state to lean on, so it runs the same machinery the
 // deterministic simulator's distributed-repair mode does: covered sets and
 // the root-seeking flag ride on heartbeat messages, suspicion comes from
-// heartbeat silence alone, and adoption grants are validated against local
-// knowledge only.
+// silence alone (a heartbeat, report or attach message from a watched
+// neighbour all count as hearing from it), and adoption grants are validated
+// against local knowledge only.
 package livenet
 
 import (
@@ -118,7 +119,8 @@ type Config struct {
 	// NewSharedScheduler): the substrate's worker pool drains the mailbox
 	// shards, its timer wheel carries the delayed messages and heartbeat
 	// ticks, its comparison pool backs the parallel detection engine and its
-	// clock arena supplies the aggregate storage — the cluster spawns no
+	// clock arena backs the aggregate bounds (solution sets stay in the
+	// cluster's own publication arena) — the cluster spawns no
 	// delivery goroutines of its own. Workers and DetectWorkers are then
 	// ignored (the substrate's pools are sized once, at its creation);
 	// MailboxBound still applies per cluster. Nil (the default) keeps a
@@ -132,7 +134,8 @@ type Config struct {
 	// panics.
 	HbEvery time.Duration
 	// HbTimeout is how stale a peer's beacon must be before it is suspected
-	// dead. Default 8×HbEvery.
+	// dead. In distributed mode a peer's reports and attach messages refresh
+	// it as its heartbeats do. Default 8×HbEvery.
 	HbTimeout time.Duration
 	// SeekTimeout is how long an orphan root waits for each candidate's
 	// grant before moving on. A willing candidate answers in two message
@@ -224,8 +227,13 @@ type Cluster struct {
 	// parallel detection engine; nil under SequentialDetect,
 	// substrate-owned when shared is set (teardown then must not close it).
 	detectPool *core.Pool
-	remote     bool      // distributed mode: Transport is set
-	startAt    time.Time // StartupGrace reference point
+	// arena is the publication arena every hosted node's parallel engine
+	// carves aggregate bounds and solution sets from — one per cluster, its
+	// clock half drawn from the substrate when shared is set. Nil under
+	// SequentialDetect.
+	arena   *core.Arena
+	remote  bool      // distributed mode: Transport is set
+	startAt time.Time // StartupGrace reference point
 
 	// Observability plane: the metrics registry every family registers
 	// into, the per-kind event counters (index = obsv.EventKind), and the
@@ -309,6 +317,7 @@ func New(cfg Config) *Cluster {
 		c.sched = c.seat
 		if !cfg.SequentialDetect {
 			c.detectPool = c.shared.detect
+			c.arena = core.NewArena(c.shared.clocks)
 		}
 	} else {
 		c.wheel = newWheel(cfg.MaxDelay / 8)
@@ -318,6 +327,7 @@ func New(cfg Config) *Cluster {
 				dw = runtime.GOMAXPROCS(0)
 			}
 			c.detectPool = core.NewPool(dw)
+			c.arena = core.NewArena(nil)
 		}
 	}
 	c.reg = obsv.NewRegistry()
@@ -778,10 +788,10 @@ func encodeMessage(msg message) []byte {
 	case msgHeartbeat:
 		return wire.EncodeHeartbeat(wire.Heartbeat{
 			Sender: msg.from, Epoch: msg.epoch,
-			RootSeeking: msg.hb.rootSeeking, Covered: msg.hb.covered,
+			RootSeeking: msg.ctl.rootSeeking, Covered: msg.ctl.covered,
 		})
 	case msgAttach:
-		return wire.EncodeAttach(wire.Attach{From: msg.from, Msg: msg.att})
+		return wire.EncodeAttach(wire.Attach{From: msg.from, Msg: msg.ctl.att})
 	default:
 		panic(fmt.Sprintf("livenet: message kind %d cannot be wire-encoded", msg.kind))
 	}
@@ -827,14 +837,14 @@ func (c *Cluster) onFrame(to int, frame []byte) {
 			return
 		}
 		msg = message{kind: msgHeartbeat, from: hb.Sender, epoch: hb.Epoch,
-			hb: hbInfo{rootSeeking: hb.RootSeeking, covered: hb.Covered}}
+			ctl: &control{rootSeeking: hb.RootSeeking, covered: hb.Covered}}
 	case wire.KindAttach:
 		a, err := wire.DecodeAttach(frame)
 		if err != nil {
 			ln.m.badFrames.Add(1)
 			return
 		}
-		msg = message{kind: msgAttach, from: a.From, att: a.Msg}
+		msg = message{kind: msgAttach, from: a.From, ctl: &control{att: a.Msg}}
 	default:
 		// Valid framing of a kind a bare cluster does not consume (a tenant
 		// envelope that escaped its mux, or a future addition): dropped, not

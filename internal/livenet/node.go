@@ -29,18 +29,26 @@ const (
 	msgSeekBackoff                // between-rounds pause (seq = round)
 )
 
-// hbInfo is the repair state riding on a distributed-mode heartbeat: the
-// sender's covered set (meaningful child→parent) and whether its tree root
-// is currently renegotiating a parent (meaningful parent→child). See
-// wire.Heartbeat for why each direction needs its half.
-type hbInfo struct {
+// control is the payload of the rare control kinds: a reattachment-protocol
+// message (msgAttach) or a distributed-mode heartbeat's repair state
+// (msgHeartbeat) — the sender's covered set (meaningful child→parent) and
+// whether its tree root is currently renegotiating a parent (meaningful
+// parent→child; see wire.Heartbeat for why each direction needs its half).
+// It sits behind one pointer so the hot kinds do not carry it in every
+// mailbox slot and wheel entry. Immutable once sent: one heartbeat's control
+// is shared by every peer it goes to.
+type control struct {
+	att         repair.Msg
 	rootSeeking bool
 	covered     []int
 }
 
 // message is one mailbox entry. Every message except the heartbeat tick
 // holds one credit in the cluster's pending ledger from before it is sent
-// until after it is handled (see creditedKind).
+// until after it is handled (see creditedKind). Mailbox slots, drain swap
+// buffers and timer-wheel entries all hold messages by value, so the struct
+// keeps only what the hot kinds (local intervals and reports) need inline;
+// the control kinds' payload costs one pointer (see control).
 type message struct {
 	kind  msgKind
 	from  int
@@ -49,8 +57,7 @@ type message struct {
 	iv    interval.Interval
 	ivs   []interval.Interval // msgLocalBatch payload
 	reps  []repair.Report     // msgReportBatch payload
-	att   repair.Msg
-	hb    hbInfo
+	ctl   *control            // msgAttach and msgHeartbeat payload
 	// born is the Observe wall-clock stamp (UnixNano) of the observation
 	// whose causal cascade this message belongs to — stamped at admission,
 	// inherited by every report the handling of this message emits, and
@@ -108,6 +115,11 @@ type liveNode struct {
 	lastHeard     map[int]time.Time
 	covered       map[int][]int
 	rootSeekingHB bool
+	// peers caches watchPeers' result; peersOK is cleared whenever the
+	// parent or the child set changes, so heartbeat ticks reuse the slice
+	// instead of building and sorting one every period. Worker-confined.
+	peers   []int
+	peersOK bool
 
 	// rng drives this node's delivery-delay jitter. PCG rather than the
 	// classic rand.Source: seeding the latter costs ~20µs of warmup per
@@ -131,7 +143,7 @@ func initLiveNode(ln *liveNode, c *Cluster, id int) {
 	coreCfg := core.Config{
 		N: c.topo.N(), Strict: c.cfg.Strict, KeepMembers: c.cfg.KeepMembers,
 		Parallel: c.detectPool != nil, Pool: c.detectPool,
-		Clocks: c.clockArena(),
+		Arena: c.arena,
 	}
 	ln.c = c
 	ln.id = id
@@ -175,6 +187,7 @@ func (ln *liveNode) handle(msg message) {
 			ln.m.stale.Add(1)
 			return
 		}
+		ln.alive(msg.from)
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from, Seq: msg.seq, Count: 1})
 		ln.rdyScratch = rs.AcceptInto(repair.Report{Iv: msg.iv, LinkSeq: msg.seq, Epoch: msg.epoch}, ln.rdyScratch[:0])
 		ln.ingest(msg.from, ln.rdyScratch)
@@ -186,6 +199,7 @@ func (ln *liveNode) handle(msg message) {
 			ln.m.stale.Add(int64(len(msg.reps)))
 			return
 		}
+		ln.alive(msg.from)
 		ln.c.emitEvent(obsv.Event{Kind: obsv.ReportRecv, Node: ln.id, Peer: msg.from,
 			Seq: msg.reps[0].LinkSeq, Count: len(msg.reps)})
 		for _, pl := range msg.reps {
@@ -195,15 +209,16 @@ func (ln *liveNode) handle(msg message) {
 		ln.gaugeReseq()
 	case msgAttach:
 		ln.m.msgsIn.Add(1)
-		ln.onAttach(msg.from, msg.att)
+		ln.alive(msg.from)
+		ln.onAttach(msg.from, msg.ctl.att)
 	case msgHeartbeat:
 		ln.m.heartbeats.Add(1)
 		ln.heard(msg.from, time.Now())
 		if msg.from == ln.parent {
-			ln.rootSeekingHB = msg.hb.rootSeeking
+			ln.rootSeekingHB = msg.ctl.rootSeeking
 		}
-		if _, isChild := ln.reseq[msg.from]; isChild && msg.hb.covered != nil {
-			ln.setCovered(msg.from, msg.hb.covered)
+		if _, isChild := ln.reseq[msg.from]; isChild && msg.ctl.covered != nil {
+			ln.setCovered(msg.from, msg.ctl.covered)
 		}
 	case msgHbTick:
 		if ln.c.cfg.HbEvery > 0 {
@@ -337,6 +352,7 @@ func (ln *liveNode) flushReports() {
 // detections the removal unblocked.
 func (ln *liveNode) dropChild(child int) []core.Detection {
 	delete(ln.reseq, child)
+	ln.peersOK = false
 	delete(ln.covered, child)
 	delete(ln.lastHeard, child)
 	ln.epochs.Forget(child)
@@ -381,7 +397,7 @@ func (ln *liveNode) heartbeat() {
 func (ln *liveNode) heartbeatRemote() {
 	c := ln.c
 	beat := message{kind: msgHeartbeat, from: ln.id, epoch: ln.epochs.Peek(),
-		hb: hbInfo{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}
+		ctl: &control{rootSeeking: ln.rootSeekingHB || ln.seeking(), covered: ln.ownCovered()}}
 	for _, peer := range ln.watchPeers() {
 		c.send(peer, beat, 0)
 	}
@@ -424,8 +440,14 @@ func (ln *liveNode) ownCovered() []int {
 }
 
 // watchPeers returns the neighbours whose liveness this node monitors: its
-// parent and its current children, ascending.
+// parent and its current children, ascending. The slice is cached until the
+// parent or the child set changes; a change builds a fresh one, so a caller
+// still ranging over the old slice (suspect can drop a child mid-loop) is
+// never disturbed.
 func (ln *liveNode) watchPeers() []int {
+	if ln.peersOK {
+		return ln.peers
+	}
 	out := make([]int, 0, len(ln.reseq)+1)
 	if ln.parent != tree.None {
 		out = append(out, ln.parent)
@@ -434,6 +456,7 @@ func (ln *liveNode) watchPeers() []int {
 		out = append(out, c)
 	}
 	sort.Ints(out)
+	ln.peers, ln.peersOK = out, true
 	return out
 }
 
@@ -503,7 +526,21 @@ func (ln *liveNode) getAdopter() *repair.Adopter {
 // forcing the seeker into existence.
 func (ln *liveNode) seeking() bool { return ln.seeker != nil && ln.seeker.Seeking() }
 
-// heard stamps a peer's last-heartbeat time, building the map on first use.
+// alive counts a report or attach message from a current watch peer (the
+// parent or a child) as liveness evidence, exactly like a heartbeat: a peer
+// whose beats are delayed or lost behind its own traffic is visibly alive.
+// Distributed mode with heartbeats only — single-process mode beats through
+// shared beacons, and without heartbeats nobody reads lastHeard.
+func (ln *liveNode) alive(peer int) {
+	if !ln.c.remote || ln.c.cfg.HbEvery <= 0 {
+		return
+	}
+	if _, isChild := ln.reseq[peer]; isChild || peer == ln.parent {
+		ln.heard(peer, time.Now())
+	}
+}
+
+// heard stamps a peer's last-heard time, building the map on first use.
 func (ln *liveNode) heard(peer int, at time.Time) {
 	if ln.lastHeard == nil {
 		ln.lastHeard = make(map[int]time.Time)

@@ -119,7 +119,7 @@ func (ln *liveNode) NextReqID() int {
 // transport — like any other message.
 func (ln *liveNode) Send(to int, m repair.Msg) {
 	ln.m.msgsOut.Add(1)
-	ln.c.send(to, message{kind: msgAttach, from: ln.id, att: m}, ln.delay())
+	ln.c.send(to, message{kind: msgAttach, from: ln.id, ctl: &control{att: m}}, ln.delay())
 }
 
 // ArmTimeout schedules the per-candidate grant timeout.
@@ -158,7 +158,7 @@ func (ln *liveNode) TryAttach(granter int) bool {
 		delete(c.seeking, ln.id)
 		c.mu.Unlock()
 		ln.flushReports() // buffered sequence numbers belong to the old link
-		ln.parent = granter
+		ln.parent, ln.peersOK = granter, false
 		ln.outSeq = 0
 		ln.rootSeekingHB = false // refreshed by the new parent's beats
 		ln.heard(granter, time.Now())
@@ -174,7 +174,7 @@ func (ln *liveNode) TryAttach(granter int) bool {
 	delete(c.seeking, ln.id)
 	c.mu.Unlock()
 	ln.flushReports() // buffered sequence numbers belong to the old link
-	ln.parent = granter
+	ln.parent, ln.peersOK = granter, false
 	ln.outSeq = 0
 	ln.m.repairs.Add(1)
 	return true
@@ -196,7 +196,7 @@ func (ln *liveNode) Partitioned() {
 	delete(c.seeking, ln.id)
 	c.mu.Unlock()
 	ln.flushReports() // to the old (dead) parent; a root buffers nothing
-	ln.parent = tree.None
+	ln.parent, ln.peersOK = tree.None, false
 	ln.rootSeekingHB = false // this node is the root now, and it is done seeking
 	ln.m.repairs.Add(1)
 	c.notifyRepair(ln.id, tree.None)
@@ -211,6 +211,7 @@ func (ln *liveNode) HasSource(child int) bool { return ln.node.HasSource(child) 
 func (ln *liveNode) Adopt(child int, covered []int) {
 	ln.node.AddChild(child)
 	ln.reseq[child] = repair.NewResequencer()
+	ln.peersOK = false
 	if ln.c.remote {
 		ln.setCovered(child, covered)
 		ln.heard(child, time.Now())

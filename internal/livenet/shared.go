@@ -52,7 +52,10 @@ type SharedScheduler struct {
 	quantum int
 	wheel   *wheel
 	detect  *core.Pool
-	arena   *vclock.Arena
+	// clocks backs every client cluster's aggregate bounds. Clocks hold no
+	// pointers, so tenants sharing slabs pin only raw words of each other;
+	// solution sets, which do hold pointers, stay in per-cluster arenas.
+	clocks *vclock.Arena
 
 	mu       sync.Mutex
 	workCond *sync.Cond // workers wait here for ring work
@@ -108,7 +111,7 @@ func NewSharedScheduler(cfg SharedSchedulerConfig) *SharedScheduler {
 		quantum: cfg.Quantum,
 		wheel:   newWheel(cfg.Tick),
 		detect:  core.NewPool(dw),
-		arena:   vclock.NewArena(),
+		clocks:  vclock.NewArena(),
 	}
 	s.wheel.lagObserve = cfg.WheelLagSink
 	s.workCond = sync.NewCond(&s.mu)
@@ -266,16 +269,6 @@ func (s *SharedScheduler) worker() {
 		s.busy.Add(-1)
 		s.charge(cl, msgs)
 	}
-}
-
-// clockArena is the chunk arena newLiveNode threads into core.Config: the
-// substrate's shared slabs when the cluster rides one, nil (per-store chunks)
-// otherwise.
-func (c *Cluster) clockArena() *vclock.Arena {
-	if c.shared != nil {
-		return c.shared.arena
-	}
-	return nil
 }
 
 // Close tears the substrate down: the wheel goroutine, then the workers,

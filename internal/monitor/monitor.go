@@ -162,8 +162,9 @@ type Result struct {
 	// AggSentByDepth counts hierarchical aggregate sends by the sender's
 	// depth at send time (for measuring the per-level aggregation ratio α).
 	AggSentByDepth map[int]int
-	// ResidentHighWater sums each node's queue high-water mark — the
-	// measured space complexity, per node and total.
+	// ResidentHighWater maps each node to its true queue-residency peak —
+	// the most intervals ever resident across its queues at once — the
+	// measured space complexity, per node and (summed) total.
 	ResidentHighWater map[int]int
 	// Failed lists processes crashed during the run, in order.
 	Failed []int

@@ -2,47 +2,67 @@ package vclock
 
 import "sync"
 
-// Arena is a shared chunk source many Stores can draw from. A Store used
-// alone makes its own chunks and strands whatever tail its final chunk never
-// carves; with hundreds of tenants × hundreds of nodes each owning a Store,
-// those tails add up to real memory. An Arena centralizes the chunk supply:
-// Stores carve their (geometrically growing) chunks out of large shared
-// slabs under one mutex, so the stranded tail exists once per slab instead
-// of once per store.
+// Arena is a struct-of-arrays source for the clocks detector nodes publish:
+// instead of one heap object per clock, clocks are carved sequentially out of
+// large contiguous []uint32 slabs. Two things fall out of the flat layout:
 //
-// The mutex guards only the slab bump pointer — the carved chunks themselves
-// are handed off exclusively to one Store, which stays single-goroutine
-// exactly as before. Clocks carved from a slab keep the slab alive until
-// every one of them is unreachable, so an Arena is best shared by stores
-// with similar lifetimes (the tenant plane's clusters qualify: tenants come
-// and go, but the plane outlives them all and slabs recycle through GC).
+//   - the fused comparison loops (CompareLess) walk contiguous memory — the
+//     bounds of one aggregate sit in one cache-line run instead of two
+//     scattered allocations, and recent aggregates sit next to each other,
+//     so the elimination loop's head-to-head checks stop taking a cache miss
+//     per clock;
+//
+//   - allocation cost amortizes: one garbage-collected object per slab
+//     instead of one per aggregate. At p=1023 a bounds pair is 8 KiB, and a
+//     per-detection make+memmove was the single largest line in the
+//     scale-lane CPU profile.
+//
+// Carving is exact-fit: AllocPair takes exactly one Lo/Hi pair, so the only
+// unused memory an Arena ever holds is the tail of its current slab. Slabs
+// are sized in pairs of the requesting width, growing geometrically from
+// arenaFirstPairs to arenaMaxPairs (256 KiB at n=1023, 16 KiB at n=63): a
+// light user strands little, a heavy one converges on the large-slab rate
+// after a few doublings. One Arena is meant to serve many nodes — a cluster's
+// every detector, or every tenant on a shared substrate — so that tail exists
+// once per arena instead of once per node. Clocks hold no pointers, so a slab
+// shared across owners with different lifetimes pins raw words only.
+//
+// Clocks handed out are ordinary VCs: they stay valid forever (a slab is
+// garbage-collected only when every clock carved from it is unreachable) and
+// must be treated as immutable once published, exactly like every other
+// bound in the detector. An Arena is safe for concurrent use; the mutex
+// guards only the bump pointer, and each carved pair belongs to its caller.
 type Arena struct {
-	mu   sync.Mutex
-	slab []uint32
-	off  int
+	mu    sync.Mutex
+	slab  []uint32
+	off   int
+	pairs int // pairs the next slab holds; zero means arenaFirstPairs
 }
 
-// arenaSlabWords is the shared slab size: 256 KiB of uint32s, matching the
-// largest chunk a solo Store grows to.
-const arenaSlabWords = (256 * 1024) / 4
+// Slab sizing, in Lo/Hi pairs of the width that opens the slab.
+const (
+	arenaFirstPairs = 2
+	arenaMaxPairs   = 32
+)
 
-// NewArena returns an empty shared chunk source.
+// NewArena returns an empty clock arena. The zero Arena is ready to use too.
 func NewArena() *Arena { return &Arena{} }
 
-// carve hands out a zeroed chunk of the given word count. Requests near (or
-// beyond) the slab size get their own allocation — splitting them across
-// slabs would defeat the contiguity the flat clock layout exists for.
-func (a *Arena) carve(words int) []uint32 {
-	if words >= arenaSlabWords/2 {
-		return make([]uint32, words)
-	}
+// AllocPair carves one adjacent Lo/Hi pair of n-component clocks — the
+// backing layout of an aggregated interval's bounds. Both clocks are zeroed
+// and capacity-capped at n, with Lo immediately followed by Hi, so an append
+// to either reallocates instead of spilling into a neighbour.
+func (a *Arena) AllocPair(n int) (lo, hi VC) {
+	span := 2 * n
 	a.mu.Lock()
-	if a.off+words > len(a.slab) {
-		a.slab = make([]uint32, arenaSlabWords)
+	if a.off+span > len(a.slab) {
+		pairs := max(a.pairs, arenaFirstPairs)
+		a.slab = make([]uint32, span*pairs)
 		a.off = 0
+		a.pairs = min(2*pairs, arenaMaxPairs)
 	}
-	out := a.slab[a.off : a.off+words : a.off+words]
-	a.off += words
+	base := a.slab[a.off : a.off+span : a.off+span]
+	a.off += span
 	a.mu.Unlock()
-	return out
+	return VC(base[:n:n]), VC(base[n:span:span])
 }
