@@ -3,12 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-scale bench-compare perfbench-check fuzz figures figures-check alpha examples smoke smoke-metrics soak fmt vet lint clean
+.PHONY: all build cross test test-short race cover bench bench-json bench-scale bench-compare perfbench-check fuzz figures figures-check alpha examples smoke smoke-metrics soak fmt vet lint clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# The timer wheel sleeps on a build-tagged pair (a timerfd on Linux, a
+# time.Timer elsewhere), so compile the non-Linux half and a second
+# architecture's Linux half too.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/livenet
 
 test:
 	$(GO) test ./...

@@ -2,9 +2,13 @@ package livenet
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"hierdet/internal/core"
+	"hierdet/internal/obsv"
 	"hierdet/internal/tree"
 	"hierdet/internal/workload"
 )
@@ -55,6 +59,56 @@ func TestDetectionsBeforeStop(t *testing.T) {
 		// A teardown with zero detections returns the empty (non-nil is not
 		// promised) list; only panic-free access matters here.
 		t.Log("empty teardown returned nil detections")
+	}
+}
+
+// TestDetectionsOrderMatchesSort: Detections concatenates each node's own
+// list in node order instead of sorting one shared list. On a mixed workload
+// with a Kill in the middle it must equal, element for element, the stable
+// sort by (node, Agg.Seq) of the detections in the order they were recorded
+// — which the SolutionFound stream reproduces.
+func TestDetectionsOrderMatchesSort(t *testing.T) {
+	const phase1, phase2, victim = 8, 8, 1
+	topo := tree.Balanced(3, 3)
+	e := workload.Generate(workload.Config{Topology: topo, Rounds: phase1 + phase2, Seed: 21, PGlobal: 0.5})
+	var log eventLog
+	repaired := make(chan int, 8)
+	repairs := sink(nil, repaired)
+	c := New(Config{
+		Topology: topo, Seed: 5, Strict: true, KeepMembers: true,
+		HbEvery: 300 * time.Microsecond,
+		Events: func(e obsv.Event) {
+			log.sink(e)
+			repairs(e)
+		},
+	})
+	feedRange(c, e, 0, phase1)
+	c.Drain()
+	awaitRepairs(t, repaired, c.Kill(victim))
+	c.Drain()
+	feedRange(c, e, phase1, phase1+phase2)
+	c.Close()
+
+	var recorded []Detection
+	for _, ev := range log.ofKind(obsv.SolutionFound) {
+		recorded = append(recorded, Detection{Node: ev.Node, AtRoot: ev.AtRoot,
+			Det: core.Detection{Node: ev.Node, Set: ev.Set, Agg: ev.Agg}})
+	}
+	sort.SliceStable(recorded, func(i, j int) bool {
+		if recorded[i].Node != recorded[j].Node {
+			return recorded[i].Node < recorded[j].Node
+		}
+		return recorded[i].Det.Agg.Seq < recorded[j].Det.Agg.Seq
+	})
+	got := c.Detections()
+	if len(got) == 0 || len(got) != len(recorded) {
+		t.Fatalf("Detections = %d entries, SolutionFound events = %d", len(got), len(recorded))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], recorded[i]) {
+			t.Fatalf("Detections[%d] = node %d seq %d, sorted record has node %d seq %d",
+				i, got[i].Node, got[i].Det.Agg.Seq, recorded[i].Node, recorded[i].Det.Agg.Seq)
+		}
 	}
 }
 

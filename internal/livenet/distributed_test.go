@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +47,22 @@ func sink(log *detLog, repaired chan<- int) func(obsv.Event) {
 			}
 		}
 	}
+}
+
+// closeOnCleanup shuts c down when the test ends, however it ends: a
+// cluster a failed test leaves running keeps its heartbeat ticks firing,
+// which skews later tests' goroutine and descriptor baselines. Closing a
+// closed cluster is a no-op, so a test that closes its clusters itself
+// loses nothing.
+func closeOnCleanup(t *testing.T, c *Cluster) *Cluster {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := c.Shutdown(ctx); err != nil {
+			t.Errorf("cleanup Shutdown: %v", err)
+		}
+	})
+	return c
 }
 
 func (l *detLog) rootSpan(span int) int {
@@ -108,11 +125,11 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	// Reference: the single-process cluster (in-memory channel transport) on
 	// the same execution and failure schedule.
 	refRepaired := make(chan int, 8)
-	ref := New(Config{
+	ref := closeOnCleanup(t, New(Config{
 		Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond,
 		Events:  sink(nil, refRepaired),
-	})
+	}))
 	feedRange(ref, e, 0, phase1)
 	ref.Drain()
 	awaitRepairs(t, refRepaired, ref.Kill(victim))
@@ -130,14 +147,14 @@ func TestDistributedParityAndFailover(t *testing.T) {
 	repaired := make(chan int, 8)
 	clusters := make(map[int]*Cluster, 7)
 	for id := 0; id < 7; id++ {
-		clusters[id] = New(Config{
+		clusters[id] = closeOnCleanup(t, New(Config{
 			Topology: build(), Seed: 11, Strict: true, KeepMembers: true,
 			HbEvery:      time.Millisecond,
 			StartupGrace: 5 * time.Millisecond,
 			Transport:    net.Endpoint(id),
 			LocalNodes:   []int{id},
 			Events:       sink(&log, repaired),
-		})
+		}))
 	}
 
 	feedRangeMulti(clusters, e, 0, phase1)
@@ -211,11 +228,11 @@ func TestDistributedRedeliveryAndCorruptFrames(t *testing.T) {
 
 	var log detLog
 	mk := func(id int, ep *transport.Endpoint) *Cluster {
-		return New(Config{
+		return closeOnCleanup(t, New(Config{
 			Topology: build(), Seed: 3, Strict: true, KeepMembers: true,
 			HbEvery: time.Millisecond, Transport: ep, LocalNodes: []int{id},
 			Events: sink(&log, nil),
-		})
+		}))
 	}
 	root, leaf := mk(0, epRoot), mk(1, epLeaf)
 
@@ -285,14 +302,14 @@ func TestDistributedOverTCP(t *testing.T) {
 	repaired := make(chan int, 8)
 	clusters := make(map[int]*Cluster, 7)
 	for id := 0; id < 7; id++ {
-		clusters[id] = New(Config{
+		clusters[id] = closeOnCleanup(t, New(Config{
 			Topology: build(), Seed: 29, Strict: true, KeepMembers: true,
 			HbEvery:      2 * time.Millisecond,
 			StartupGrace: 20 * time.Millisecond,
 			Transport:    trs[id],
 			LocalNodes:   []int{id},
 			Events:       sink(&log, repaired),
-		})
+		}))
 	}
 
 	feedRangeMulti(clusters, e, 0, phase1)
@@ -345,7 +362,7 @@ func TestDistributedAdaptiveFlush(t *testing.T) {
 			}
 			return false
 		}
-		clusters[id] = New(Config{
+		clusters[id] = closeOnCleanup(t, New(Config{
 			Topology: build(), Seed: 13, Strict: true, KeepMembers: true,
 			HbEvery:       time.Millisecond,
 			StartupGrace:  5 * time.Millisecond,
@@ -353,7 +370,7 @@ func TestDistributedAdaptiveFlush(t *testing.T) {
 			Transport:     ep,
 			LocalNodes:    []int{id},
 			Events:        sink(&log, nil),
-		})
+		}))
 	}
 
 	feedRangeMulti(clusters, e, 0, rounds)

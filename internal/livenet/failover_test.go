@@ -116,11 +116,11 @@ func TestLiveClusterFailover(t *testing.T) {
 
 	repaired := make(chan int, 8)
 	topo := build()
-	c := New(Config{
+	c := closeOnCleanup(t, New(Config{
 		Topology: topo, Seed: 11, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond,
 		Events:  sink(nil, repaired),
-	})
+	}))
 	feedRange(c, e, 0, phase1)
 	c.Drain()
 
@@ -182,11 +182,11 @@ func TestLiveClusterFailoverResendLast(t *testing.T) {
 
 	repaired := make(chan int, 8)
 	topo := build()
-	c := New(Config{
+	c := closeOnCleanup(t, New(Config{
 		Topology: topo, Seed: 15, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond, ResendLastOnAdopt: true,
 		Events: sink(nil, repaired),
-	})
+	}))
 	feedRange(c, e, 0, phase1)
 	c.Drain()
 	orphans := c.Kill(victim)
@@ -222,7 +222,7 @@ func TestLiveClusterPartition(t *testing.T) {
 
 	repaired := make(chan RepairEvent, 4)
 	topo := build()
-	c := New(Config{
+	c := closeOnCleanup(t, New(Config{
 		Topology: topo, Seed: 21, Strict: true, KeepMembers: true,
 		HbEvery: 300 * time.Microsecond,
 		Events: func(e obsv.Event) {
@@ -233,7 +233,7 @@ func TestLiveClusterPartition(t *testing.T) {
 				}
 			}
 		},
-	})
+	}))
 	feedRange(c, e, 0, phase1)
 	c.Drain()
 	if orphans := c.Kill(victim); orphans != 1 {

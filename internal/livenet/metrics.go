@@ -491,10 +491,10 @@ func (c *Cluster) registerFamilies() {
 		"Latency from an interval entering the cluster (Observe) to the recording of the detection its cascade completed. In-process hops only: stamps do not cross a transport.",
 		obsv.ExponentialBuckets(1e-6, 2, 22))
 
-	// Timer wheel: lag is how far behind its deadline the last advance ran
+	// Timer wheel: lag is how far past its due time the last firing slot ran
 	// — the single number that says whether delayed delivery is keeping up.
 	c.reg.Gauge("hierdet_wheel_tick_seconds", "The wheel's quantization tick.").Set(c.wheel.tick.Seconds())
-	c.reg.Func("hierdet_wheel_lag_seconds", "How far past its deadline the last wheel advance ran.",
+	c.reg.Func("hierdet_wheel_lag_seconds", "How far past its due time the last wheel slot that fired entries ran (a timer-only slot is due a millisecond after its deadline).",
 		obsv.KindGauge, nil, func(emit func(float64, ...string)) {
 			emit(float64(c.wheel.lagNanos.Load()) / 1e9)
 		})

@@ -99,6 +99,11 @@ type liveNode struct {
 	born    int64
 	bufBorn int64
 
+	// dets are the detections this node made, in detection order (Agg.Seq
+	// ascending); teardown concatenates every node's into Detections.
+	// Worker-confined.
+	dets []Detection
+
 	ivScratch  []interval.Interval // reused batch-ingestion staging
 	rdyScratch []repair.Report     // reused resequencer release staging
 
@@ -269,7 +274,7 @@ func (ln *liveNode) deliver(dets []core.Detection) {
 		if ln.born > 0 {
 			ln.c.noteLatency(ln.born)
 		}
-		ln.c.record(Detection{Node: ln.id, AtRoot: atRoot, Det: det})
+		ln.record(Detection{Node: ln.id, AtRoot: atRoot, Det: det})
 		if !atRoot {
 			ln.report(det.Agg)
 		}

@@ -31,7 +31,11 @@ type SharedSchedulerConfig struct {
 	Workers int
 	// Tick is the shared wheel's quantization tick, clamped to [20µs, 1ms]
 	// (default 25µs — the tick a standalone cluster derives from the
-	// default MaxDelay).
+	// default MaxDelay). A delayed delivery fires within about a tick of its
+	// due time — on Linux even when the runtime is idle; elsewhere a Go
+	// timer may round the wheel's sub-millisecond sleeps up to a
+	// millisecond. Timers (heartbeat ticks, repair timeouts) may fire up
+	// to a millisecond late on every platform.
 	Tick time.Duration
 	// Quantum is the DRR quantum in messages: how many messages one cluster
 	// may drain before the ring rotates past it (default 256).
@@ -39,8 +43,9 @@ type SharedSchedulerConfig struct {
 	// DetectWorkers sizes the shared comparison pool clusters running the
 	// parallel detection engine draw on (default GOMAXPROCS).
 	DetectWorkers int
-	// WheelLagSink, when set, receives each wheel advance's lag in seconds
-	// (the tenant plane feeds its lag histogram through this).
+	// WheelLagSink, when set, receives the lag in seconds of each wheel
+	// slot that fires entries (the tenant plane feeds its lag histogram
+	// through this).
 	WheelLagSink func(float64)
 }
 
@@ -143,7 +148,8 @@ func (s *SharedScheduler) WheelEntries() int { return s.wheel.entries() }
 // WheelTick returns the shared wheel's quantization tick.
 func (s *SharedScheduler) WheelTick() time.Duration { return s.wheel.tick }
 
-// WheelLagNanos returns how far past its deadline the last advance ran.
+// WheelLagNanos returns how far past its due time the last firing wheel slot
+// ran.
 func (s *SharedScheduler) WheelLagNanos() int64 { return s.wheel.lagNanos.Load() }
 
 // WheelTicks returns total wheel advances processed.

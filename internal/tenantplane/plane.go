@@ -213,9 +213,9 @@ func NewMultiplexer(cfg Config) (*Multiplexer, error) {
 	// The shared scheduler substrate: one worker pool, one timer wheel, one
 	// comparison pool and one clock arena for every tenant this plane will
 	// host. Its wheel-lag histogram lives in the plane registry from the
-	// start, so the first tenant's ticks are already observed.
+	// start, so the first tenant's deliveries are already observed.
 	wheelLag := p.reg.Histogram("hierdet_plane_wheel_lag_seconds",
-		"How far past its deadline each shared-wheel advance ran.",
+		"How far past its due time each shared-wheel slot that fired entries ran.",
 		obsv.ExponentialBuckets(1e-6, 4, 10))
 	p.sched = livenet.NewSharedScheduler(livenet.SharedSchedulerConfig{
 		Workers:       cfg.Workers,
